@@ -392,6 +392,9 @@ func TestRunBatchedValidation(t *testing.T) {
 // allocation delta between runs differing only in chunk count, so the
 // per-run fixed costs (accumulators, goroutines, chunk list) cancel.
 func TestRunBatchedSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation defeats sync.Pool caching")
+	}
 	const chunk = DefaultChunkSize
 	measure := func(extra int) float64 {
 		f := newBatchFixture(VerifyRuns + extra*chunk)

@@ -2,6 +2,10 @@
 
 package sca
 
+// hasAVX exists for the shared path-selection logic; no VEX kernels off
+// amd64.
+var hasAVX = false
+
 // axpy performs dst[s] += a * x[s]; on this architecture the portable
 // kernel is the only implementation.
 func axpy(dst, x []float64, a float64) { axpyGeneric(dst, x, a) }

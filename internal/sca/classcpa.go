@@ -3,6 +3,8 @@ package sca
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 )
 
 // Accumulator is the read side shared by the streaming correlation
@@ -64,17 +66,6 @@ type ClassCPA struct {
 	classSum []float64 // [p*samples + s]: Σt over the class's traces
 	sumT     []float64 // per sample: Σt
 	sumTT    []float64 // per sample: Σt²
-
-	// derived caches the Pearson sums computed from the class state;
-	// accumulation invalidates it.
-	derived *classDerived
-}
-
-// classDerived holds the Pearson sums derived from the class state.
-type classDerived struct {
-	sumH  []float64
-	sumHH []float64
-	sumHT []float64
 }
 
 // NewClassCPA returns a class-sum engine over the given hypothesis
@@ -158,7 +149,6 @@ func (c *ClassCPA) Add(class int, t []float64) error {
 	classAddInto(c.sumT, c.sumTT, c.classSum[class*c.samples:(class+1)*c.samples], t)
 	c.classN[class]++
 	c.count++
-	c.derived = nil
 	return nil
 }
 
@@ -182,145 +172,361 @@ func (c *ClassCPA) AddBatch(classes []int, traces [][]float64) error {
 		c.classN[p]++
 	}
 	c.count += len(traces)
-	c.derived = nil
 	return nil
 }
 
-// derive materializes the Pearson sums from the class state: one sweep
-// over the classes in ascending index, empty classes skipped (a
-// skipped class would contribute 0·h and 0·S terms — ±0 values whose
-// addition cannot alter any accumulated bit, since exact cancellation
-// rounds to +0 and x+(±0) preserves x's bits for every non-zero x).
-func (c *ClassCPA) derive() *classDerived {
-	if c.derived != nil {
-		return c.derived
+// Read side. Every statistic is derived on demand from the class state,
+// Σh·t never materialized: a derive-and-scan walks the sample window in
+// strips of stripLen samples, packs each strip's non-empty class rows
+// once, and for every block of blockHyps hypotheses derives the block's
+// Σh·t with a register-blocked kernel (corrBlock) that turns it straight
+// into correlations. Result and ResultIn fold each block into the
+// hypotheses' running peaks; CorrTrace keeps one row.
+//
+// Bit identity. Each Σh·t element is one chain, whatever the packing,
+// blocking or strip split: it starts from +0 and, for every non-empty
+// class in ascending index, adds the separately rounded product
+// H[p][k]·S_p[s] (no fused multiply-add; the explicit float64
+// conversions below forbid the compiler from fusing one). Empty classes
+// are skipped: their 0·h terms are ±0 values whose addition cannot
+// alter any accumulated bit, since exact cancellation rounds to +0 and
+// x+(±0) keeps x's bits for every non-zero x. The Pearson formula hoists
+// sqrt(n·Σhh−Σh²) per hypothesis and sqrt(n·Σtt−Σt²) per sample — the
+// same expressions, so the same bits. Corr, the kernels and the
+// portable reference all evaluate exactly this.
+
+const (
+	blockHyps = 4                    // hypotheses per kernel block
+	stripLen  = 16                   // samples per strip
+	blockLen  = blockHyps * stripLen // correlations per block
+	// parallelWork is the derivation size (non-empty classes ×
+	// hypotheses × samples, padded to whole blocks) from which a scan
+	// splits its strips across cores; smaller scans run serially.
+	parallelWork = 1 << 20
+)
+
+// pearson is the correlation formula every read path shares: ht = Σh·t
+// of the hypothesis, h = Σh, t = Σt at the sample, sh and st the hoisted
+// square roots. A zero or NaN denominator gives 0.
+func pearson(n, ht, h, sh, t, st float64) float64 {
+	den := sh * st
+	if den == 0 || den != den {
+		return 0
 	}
-	d := &classDerived{
-		sumH:  make([]float64, c.nHyp),
-		sumHH: make([]float64, c.nHyp),
-		sumHT: make([]float64, c.nHyp*c.samples),
+	return (float64(n*ht) - float64(h*t)) / den
+}
+
+// corrBlockGeneric is the portable reference kernel: for hypotheses
+// i < blockHyps and samples j < stripLen it derives Σh·t over the
+// len(tbl)/blockHyps packed classes — strip holds their sample rows,
+// tbl their coefficient rows — and writes pearson of it to
+// out[i*stripLen+j].
+func corrBlockGeneric(out *[blockLen]float64, strip, tbl []float64, n float64, h, sh, t, st []float64) {
+	var acc [blockLen]float64
+	for pi := 0; pi < len(tbl)/blockHyps; pi++ {
+		x := strip[pi*stripLen : (pi+1)*stripLen]
+		for i, a := range tbl[pi*blockHyps : (pi+1)*blockHyps] {
+			row := acc[i*stripLen : (i+1)*stripLen]
+			for j, v := range x {
+				row[j] += float64(a * v)
+			}
+		}
 	}
+	for i := 0; i < blockHyps; i++ {
+		for j := 0; j < stripLen; j++ {
+			out[i*stripLen+j] = pearson(n, acc[i*stripLen+j], h[i], sh[i], t[j], st[j])
+		}
+	}
+}
+
+// hypSums writes Σh and Σh² of hypotheses k0, k0+1, … into sumH and
+// sumHH (hypotheses past the table get 0), sweeping the non-empty
+// classes in ascending index.
+func (c *ClassCPA) hypSums(sumH, sumHH []float64, k0 int) {
 	for p := 0; p < c.classes; p++ {
 		if c.classN[p] == 0 {
 			continue
 		}
 		np := float64(c.classN[p])
-		row := c.table[p*c.nHyp : (p+1)*c.nHyp]
-		for k, h := range row {
-			d.sumH[k] += np * h
-			d.sumHH[k] += np * (h * h)
+		for i := range sumH {
+			if k0+i >= c.nHyp {
+				break
+			}
+			h := c.table[p*c.nHyp+k0+i]
+			sumH[i] += float64(np * h)
+			sumHH[i] += float64(np * float64(h*h))
 		}
 	}
-	// Σh·t rows, sample-tiled so a block of class sums stays cache-
-	// resident while every hypothesis row streams through it once.
-	const tile = 512
-	for base := 0; base < c.samples; base += tile {
-		w := c.samples - base
-		if w > tile {
-			w = tile
-		}
-		for k := 0; k < c.nHyp; k++ {
-			row := d.sumHT[k*c.samples+base : k*c.samples+base+w]
-			c.accumRow(row, base, w, k)
-		}
-	}
-	c.derived = d
-	return d
 }
 
-// accumRow adds Σ_p H[p][k]·S_p[base:base+w] into row, classes in
-// ascending index, empty classes skipped.
-func (c *ClassCPA) accumRow(row []float64, base, w, k int) {
-	quad := [4][]float64{}
-	coef := [4]float64{}
-	n := 0
-	flush := func() {
-		switch n {
-		case 4:
-			axpy4(row, quad[0], quad[1], quad[2], quad[3], coef[0], coef[1], coef[2], coef[3])
-		default:
-			for i := 0; i < n; i++ {
-				axpy(row, quad[i], coef[i])
-			}
-		}
-		n = 0
+// sqrtVar is sqrt(n·Σx² − (Σx)²), the hoisted half of a denominator.
+func sqrtVar(n, sum, sumSq float64) float64 {
+	return math.Sqrt(float64(n*sumSq) - float64(sum*sum))
+}
+
+// corrPlan is one derive-and-scan: hypothesis blocks [kb0, kb1) over the
+// sample window [lo, hi), cut into strips of stripLen samples. It holds
+// what every strip shares.
+type corrPlan struct {
+	c        *ClassCPA
+	kb0, kb1 int
+	lo, hi   int
+	strips   int
+	n        float64
+	cls      []int     // the non-empty classes, ascending
+	tbl      []float64 // per block: len(cls) rows of blockHyps coefficients
+	sumH     []float64 // [k − kb0·blockHyps]: Σh
+	sqH      []float64 // [k − kb0·blockHyps]: sqrt(n·Σhh − Σh²)
+	sumT     []float64 // [s − lo], padded to whole strips: Σt
+	sqT      []float64 // [s − lo], padded to whole strips: sqrt(n·Σtt − Σt²)
+}
+
+// plan prepares a scan of hypotheses [kLo, kHi) over samples [lo, hi).
+// The caller guarantees count >= 2 and lo < hi.
+func (c *ClassCPA) plan(kLo, kHi, lo, hi int) *corrPlan {
+	pl := &corrPlan{
+		c:   c,
+		kb0: kLo / blockHyps, kb1: (kHi + blockHyps - 1) / blockHyps,
+		lo: lo, hi: hi,
+		strips: (hi - lo + stripLen - 1) / stripLen,
+		n:      float64(c.count),
 	}
 	for p := 0; p < c.classes; p++ {
-		if c.classN[p] == 0 {
-			continue
-		}
-		quad[n] = c.classSum[p*c.samples+base : p*c.samples+base+w]
-		coef[n] = c.table[p*c.nHyp+k]
-		n++
-		if n == 4 {
-			flush()
+		if c.classN[p] != 0 {
+			pl.cls = append(pl.cls, p)
 		}
 	}
-	flush()
+	nk := (pl.kb1 - pl.kb0) * blockHyps
+	pl.tbl = make([]float64, nk*len(pl.cls))
+	for b := 0; b < pl.kb1-pl.kb0; b++ {
+		blk := pl.tbl[b*len(pl.cls)*blockHyps:]
+		for pi, p := range pl.cls {
+			for i := 0; i < blockHyps; i++ {
+				if k := (pl.kb0+b)*blockHyps + i; k < c.nHyp {
+					blk[pi*blockHyps+i] = c.table[p*c.nHyp+k]
+				}
+			}
+		}
+	}
+	pl.sumH, pl.sqH = make([]float64, nk), make([]float64, nk)
+	sumHH := make([]float64, nk)
+	c.hypSums(pl.sumH, sumHH, pl.kb0*blockHyps)
+	for i := range pl.sqH {
+		pl.sqH[i] = sqrtVar(pl.n, pl.sumH[i], sumHH[i])
+	}
+	ns := pl.strips * stripLen
+	pl.sumT, pl.sqT = make([]float64, ns), make([]float64, ns)
+	for s := lo; s < hi; s++ {
+		pl.sumT[s-lo] = c.sumT[s]
+		pl.sqT[s-lo] = sqrtVar(pl.n, c.sumT[s], c.sumTT[s])
+	}
+	return pl
 }
 
-// Corr returns the correlation of hypothesis k at sample s.
-func (c *ClassCPA) Corr(k, s int) float64 {
-	if c.count < 2 {
-		return 0
+// parts returns how many contiguous strip ranges the scan runs as: one
+// per core once the derivation is large enough to pay for the
+// goroutines, one otherwise.
+func (pl *corrPlan) parts() int {
+	work := len(pl.cls) * len(pl.sumH) * len(pl.sumT)
+	if work < parallelWork {
+		return 1
 	}
-	d := c.derive()
-	n := float64(c.count)
-	num := n*d.sumHT[k*c.samples+s] - d.sumH[k]*c.sumT[s]
-	dh := n*d.sumHH[k] - d.sumH[k]*d.sumH[k]
-	dt := n*c.sumTT[s] - c.sumT[s]*c.sumT[s]
-	den := math.Sqrt(dh) * math.Sqrt(dt)
-	if den == 0 || math.IsNaN(den) {
-		return 0
-	}
-	return num / den
+	return min(runtime.GOMAXPROCS(0), pl.strips)
 }
 
-// CorrTrace returns the correlation-vs-time curve of hypothesis k.
-func (c *ClassCPA) CorrTrace(k int) []float64 {
-	out := make([]float64, c.samples)
-	for s := range out {
-		out[s] = c.Corr(k, s)
+// run calls body(part, a, b) for part's strip range [a, b), every part
+// concurrently when there are several.
+func (pl *corrPlan) run(parts int, body func(part, a, b int)) {
+	if parts == 1 {
+		body(0, 0, pl.strips)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < parts; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			body(w, w*pl.strips/parts, (w+1)*pl.strips/parts)
+		}()
+	}
+	wg.Wait()
+}
+
+// scan derives strips [a, b): each strip's non-empty class rows are
+// packed once, then every hypothesis block's correlations are handed to
+// emit with the block index, the strip's first sample and its valid
+// width.
+func (pl *corrPlan) scan(a, b int, emit func(kb, s0, w int, r *[blockLen]float64)) {
+	nc := len(pl.cls)
+	strip := make([]float64, nc*stripLen)
+	var r [blockLen]float64
+	for i := a; i < b; i++ {
+		s0 := pl.lo + i*stripLen
+		w := min(stripLen, pl.hi-s0)
+		for pi, p := range pl.cls {
+			dst := strip[pi*stripLen : (pi+1)*stripLen]
+			copy(dst, pl.c.classSum[p*pl.c.samples+s0:][:w])
+			clear(dst[w:])
+		}
+		t, st := pl.sumT[i*stripLen:(i+1)*stripLen], pl.sqT[i*stripLen:(i+1)*stripLen]
+		for kb := pl.kb0; kb < pl.kb1; kb++ {
+			o := (kb - pl.kb0) * blockHyps
+			corrBlock(&r, strip, pl.tbl[o*nc:(o+blockHyps)*nc], pl.n,
+				pl.sumH[o:o+blockHyps], pl.sqH[o:o+blockHyps], t, st)
+			emit(kb, s0, w, &r)
+		}
+	}
+}
+
+// peak is a running peak search: the best correlation so far, its
+// sample, and whether one has been taken.
+type peak struct {
+	r    float64
+	s    int
+	have bool
+}
+
+// fold runs the peak rule over row, whose first element is sample s0:
+// an element replaces the peak when none is held yet or when it is
+// strictly better — larger when signed, larger in magnitude otherwise —
+// so ties keep the earliest sample.
+func (p *peak) fold(row []float64, s0 int, signed bool) {
+	best, idx, have := p.r, p.s, p.have
+	if signed {
+		for j, v := range row {
+			if !have || v > best {
+				best, idx, have = v, s0+j, true
+			}
+		}
+	} else {
+		mag := math.Abs(best)
+		for j, v := range row {
+			if a := math.Abs(v); !have || a > mag {
+				best, idx, have, mag = v, s0+j, true, a
+			}
+		}
+	}
+	*p = peak{best, idx, have}
+}
+
+// peaks returns the peak of each hypothesis in [kLo, kHi) over the
+// window [lo, hi), each search starting from init.
+//
+// Split across cores, the first strip range folds from init and every
+// other range from a floor no correlation loses to (0 in magnitude, −Inf
+// signed) with no sample, so a range's partial is its first strictly
+// best element. Folding the partials into the first in ascending range
+// order with the same rule gives the element a serial scan picks — the
+// earliest maximum — at any core count.
+func (c *ClassCPA) peaks(kLo, kHi, lo, hi int, signed bool, init peak) []peak {
+	out := make([]peak, kHi-kLo)
+	for i := range out {
+		out[i] = init
+	}
+	if c.count < 2 || hi <= lo {
+		// Every correlation is 0: no search moves off init's value, and
+		// a search without a peak yet takes the first sample, lo.
+		return out
+	}
+	pl := c.plan(kLo, kHi, lo, hi)
+	parts := pl.parts()
+	partial := make([][]peak, parts)
+	partial[0] = out
+	floor := peak{s: -1, have: true}
+	if signed {
+		floor.r = math.Inf(-1)
+	}
+	for w := 1; w < parts; w++ {
+		partial[w] = make([]peak, kHi-kLo)
+		for i := range partial[w] {
+			partial[w][i] = floor
+		}
+	}
+	pl.run(parts, func(part, a, b int) {
+		ps := partial[part]
+		pl.scan(a, b, func(kb, s0, w int, r *[blockLen]float64) {
+			for i := 0; i < blockHyps; i++ {
+				if k := kb*blockHyps + i; k >= kLo && k < kHi {
+					ps[k-kLo].fold(r[i*stripLen:i*stripLen+w], s0, signed)
+				}
+			}
+		})
+	})
+	for _, ps := range partial[1:] {
+		for i, q := range ps {
+			if q.s >= 0 {
+				out[i].fold([]float64{q.r}, q.s, signed)
+			}
+		}
 	}
 	return out
 }
 
-// Peak returns the maximum absolute correlation of hypothesis k and the
-// sample where it occurs.
-func (c *ClassCPA) Peak(k int) (corr float64, sample int) {
-	best, idx := 0.0, 0
-	for s := 0; s < c.samples; s++ {
-		r := c.Corr(k, s)
-		if math.Abs(r) > math.Abs(best) {
-			best, idx = r, s
-		}
-	}
-	return best, idx
-}
-
-// PeakIn returns hypothesis k's peak correlation within the sample
-// window [lo,hi). Out-of-range bounds clamp to the trace; when signed
-// is set the peak is the maximum signed correlation rather than the
-// maximum magnitude.
-func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int) {
+// window clamps a sample window to the trace: a negative lo becomes 0,
+// and an empty or overlong window becomes [lo, samples).
+func (c *ClassCPA) window(lo, hi int) (int, int) {
 	if lo < 0 {
 		lo = 0
 	}
 	if hi <= lo || hi > c.samples {
 		hi = c.samples
 	}
-	best, idx, have := 0.0, lo, false
-	for s := lo; s < hi; s++ {
-		r := c.Corr(k, s)
-		better := math.Abs(r) > math.Abs(best)
-		if signed {
-			better = r > best
-		}
-		if !have || better {
-			best, idx, have = r, s, true
+	return lo, hi
+}
+
+// Corr returns the correlation of hypothesis k at sample s: one Σh·t
+// dot product over the classes, bit-identical to the same element of a
+// derive-and-scan.
+func (c *ClassCPA) Corr(k, s int) float64 {
+	if c.count < 2 {
+		return 0
+	}
+	var h, hh [1]float64
+	c.hypSums(h[:], hh[:], k)
+	ht := 0.0
+	for p := 0; p < c.classes; p++ {
+		if c.classN[p] != 0 {
+			ht += float64(c.table[p*c.nHyp+k] * c.classSum[p*c.samples+s])
 		}
 	}
-	return best, idx
+	n := float64(c.count)
+	return pearson(n, ht, h[0], sqrtVar(n, h[0], hh[0]), c.sumT[s], sqrtVar(n, c.sumT[s], c.sumTT[s]))
+}
+
+// CorrTrace returns the correlation-vs-time curve of hypothesis k,
+// deriving only k's row.
+func (c *ClassCPA) CorrTrace(k int) []float64 {
+	out := make([]float64, c.samples)
+	if c.count < 2 {
+		return out
+	}
+	pl := c.plan(k, k+1, 0, c.samples)
+	i := k % blockHyps
+	pl.run(pl.parts(), func(_, a, b int) {
+		pl.scan(a, b, func(_, s0, w int, r *[blockLen]float64) {
+			copy(out[s0:s0+w], r[i*stripLen:])
+		})
+	})
+	return out
+}
+
+// Peak returns the maximum absolute correlation of hypothesis k and the
+// sample where it occurs (0 and sample 0 when no correlation is
+// non-zero).
+func (c *ClassCPA) Peak(k int) (corr float64, sample int) {
+	p := c.peaks(k, k+1, 0, c.samples, false, peak{have: true})[0]
+	return p.r, p.s
+}
+
+// PeakIn returns hypothesis k's peak correlation within the sample
+// window [lo,hi). Out-of-range bounds clamp to the trace; when signed
+// is set the peak is the maximum signed correlation rather than the
+// maximum magnitude. The window's first correlation is always a
+// candidate.
+func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int) {
+	lo, hi = c.window(lo, hi)
+	p := c.peaks(k, k+1, lo, hi, signed, peak{s: lo, have: false})[0]
+	return p.r, p.s
 }
 
 // ResultIn computes the attack summary restricted to the sample window
@@ -330,19 +536,31 @@ func (c *ClassCPA) PeakIn(k, lo, hi int, signed bool) (corr float64, sample int)
 // cipher operations; signed ranking resolves the exact complement
 // ambiguity of XOR-Hamming-weight models, where hypothesis k^0xff
 // predicts the precise negation of hypothesis k and |r| alone cannot
-// separate the two. Result is the (whole-trace, magnitude) special
-// case.
+// separate the two. Each hypothesis's peak is PeakIn's.
 func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
+	lo, hi = c.window(lo, hi)
+	return c.summary(c.peaks(0, c.nHyp, lo, hi, signed, peak{s: lo, have: false}), signed)
+}
+
+// Result computes the attack summary, exactly as CPA.Result does over
+// the derived sums: each hypothesis's peak is Peak's.
+func (c *ClassCPA) Result() *Attack {
+	return c.summary(c.peaks(0, c.nHyp, 0, c.samples, false, peak{have: true}), false)
+}
+
+// summary ranks the hypotheses by peak, descending — by signed value
+// when signed is set, by magnitude otherwise — with a stable insertion
+// sort, so equal peaks keep hypothesis order.
+func (c *ClassCPA) summary(ps []peak, signed bool) *Attack {
 	a := &Attack{
 		Peaks:       make([]float64, c.nHyp),
 		PeakSamples: make([]int, c.nHyp),
 		Ranking:     make([]int, c.nHyp),
 		Traces:      c.count,
 	}
-	for k := 0; k < c.nHyp; k++ {
-		r, s := c.PeakIn(k, lo, hi, signed)
-		a.Peaks[k] = r
-		a.PeakSamples[k] = s
+	for k, p := range ps {
+		a.Peaks[k] = p.r
+		a.PeakSamples[k] = p.s
 		a.Ranking[k] = k
 	}
 	key := func(r float64) float64 {
@@ -364,37 +582,8 @@ func (c *ClassCPA) ResultIn(lo, hi int, signed bool) *Attack {
 	return a
 }
 
-// Result computes the attack summary, exactly as CPA.Result does over
-// the derived sums.
-func (c *ClassCPA) Result() *Attack {
-	a := &Attack{
-		Peaks:       make([]float64, c.nHyp),
-		PeakSamples: make([]int, c.nHyp),
-		Ranking:     make([]int, c.nHyp),
-		Traces:      c.count,
-	}
-	for k := 0; k < c.nHyp; k++ {
-		r, s := c.Peak(k)
-		a.Peaks[k] = r
-		a.PeakSamples[k] = s
-		a.Ranking[k] = k
-	}
-	for i := 1; i < len(a.Ranking); i++ {
-		for j := i; j > 0; j-- {
-			x, y := a.Ranking[j-1], a.Ranking[j]
-			if math.Abs(a.Peaks[y]) > math.Abs(a.Peaks[x]) {
-				a.Ranking[j-1], a.Ranking[j] = y, x
-			} else {
-				break
-			}
-		}
-	}
-	return a
-}
-
 // Equal reports bit-identical accumulator state — the strict
-// equivalence the engine's determinism tests assert. Derived caches are
-// not state.
+// equivalence the engine's determinism tests assert.
 func (c *ClassCPA) Equal(o *ClassCPA) bool {
 	if c.classes != o.classes || c.nHyp != o.nHyp || c.samples != o.samples || c.count != o.count {
 		return false
@@ -441,5 +630,4 @@ func (c *ClassCPA) Reset() {
 	clear(c.sumT)
 	clear(c.sumTT)
 	c.count = 0
-	c.derived = nil
 }
