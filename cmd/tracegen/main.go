@@ -157,43 +157,45 @@ func main() {
 	// path shares the scalar producer's per-trace rng draw order, so the
 	// file is byte-identical for every -lanes and -workers value.
 	if err == nil && *n > 0 {
-		scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			pt := make([]byte, info.BlockSize)
-			rng.Read(pt)
-			var tr trace.Trace
-			err := synth.Run(
-				func(core *pipeline.Core) { inst.InitCore(core, pt) },
-				func(tl pipeline.Timeline, core *pipeline.Core) error {
-					if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
-						return err
-					}
-					tr = env.Acquire(tl, &model, rng, *avg)
-					return nil
-				})
-			if err != nil {
-				return nil, nil, err
+		// The plaintext travels in the sample's aux record; the emitted
+		// trace is written before its storage is recycled.
+		plaintext := func(rng *rand.Rand, s *engine.Sample) []byte {
+			if cap(s.Aux) < info.BlockSize {
+				s.Aux = make([]byte, info.BlockSize)
 			}
-			return tr, pt, nil
+			s.Aux = s.Aux[:info.BlockSize]
+			rng.Read(s.Aux)
+			return s.Aux
 		}
-		bs := engine.BatchStream{
+		bg := engine.BatchGen{
 			Synth: synth,
 			Model: &model,
 			Lanes: ef.Lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
-				pt := make([]byte, info.BlockSize)
-				rng.Read(pt)
-				inst.InitCore(core, pt)
-				return pt, nil
+			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+				inst.InitCore(core, plaintext(rng, s))
+				return nil
 			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				if err := inst.VerifyOutput(core.Mem(), aux); err != nil {
-					return nil, err
-				}
-				return env.AcquireCycles(cycles, &model, rng, *avg), nil
+			Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
+				return inst.VerifyOutput(core.Mem(), s.Aux)
 			},
-			Scalar: scalar,
+			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
+				s.Trace = env.AcquireCycles(cycles, &model, rng, *avg)
+				return nil
+			},
+			Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
+				pt := plaintext(rng, s)
+				return synth.Run(
+					func(core *pipeline.Core) { inst.InitCore(core, pt) },
+					func(tl pipeline.Timeline, core *pipeline.Core) error {
+						if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
+							return err
+						}
+						s.Trace = env.Acquire(tl, &model, rng, *avg)
+						return nil
+					})
+			},
 		}
-		err = engine.StreamBatched(engine.Config{Workers: ef.Workers}, *n, ef.Seed, bs, emit)
+		err = engine.StreamBatched(engine.Config{Workers: ef.Workers}, *n, ef.Seed, bg, emit)
 	}
 	if err == nil && sw != nil {
 		err = sw.Close()

@@ -50,49 +50,46 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 	var traces []trace.Trace
 	var aux [][]byte
 	emit := func(i int, tr trace.Trace, a []byte) error {
-		traces = append(traces, tr)
+		traces = append(traces, append(trace.Trace(nil), tr...))
 		aux = append(aux, append([]byte(nil), a...))
 		return sw.Append(tr, a)
 	}
-	scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-		var pt [aes.BlockSize]byte
+	plaintext := func(rng *rand.Rand, s *engine.Sample) (pt [aes.BlockSize]byte) {
 		rng.Read(pt[:])
-		var tr trace.Trace
-		err := synth.Run(
-			func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				tr = env.Acquire(tl, &model, rng, avg)
-				return nil
-			})
-		if err != nil {
-			return nil, nil, err
-		}
-		return tr, pt[:], nil
+		s.Aux = append(s.Aux[:0], pt[:]...)
+		return pt
 	}
-	bs := engine.BatchStream{
+	verify := func(core *pipeline.Core, s *engine.Sample) error {
+		_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
+		return err
+	}
+	bg := engine.BatchGen{
 		Synth: synth,
 		Model: &model,
 		Lanes: lanes,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
-			var pt [aes.BlockSize]byte
-			rng.Read(pt[:])
-			tgt.InitCore(core, pt)
-			return pt[:], nil
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
+			tgt.InitCore(core, plaintext(rng, s))
+			return nil
 		},
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, a []byte) (trace.Trace, error) {
-			var pt [aes.BlockSize]byte
-			copy(pt[:], a)
-			if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-				return nil, err
-			}
-			return env.AcquireCycles(cycles, &model, rng, avg), nil
+		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error { return verify(core, s) },
+		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
+			s.Trace = env.AcquireCycles(cycles, &model, rng, avg)
+			return nil
 		},
-		Scalar: scalar,
+		Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
+			pt := plaintext(rng, s)
+			return synth.Run(
+				func(core *pipeline.Core) { tgt.InitCore(core, pt) },
+				func(tl pipeline.Timeline, core *pipeline.Core) error {
+					if err := verify(core, s); err != nil {
+						return err
+					}
+					s.Trace = env.Acquire(tl, &model, rng, avg)
+					return nil
+				})
+		},
 	}
-	if err := engine.StreamBatched(engine.Config{Workers: workers}, n, 11, bs, emit); err != nil {
+	if err := engine.StreamBatched(engine.Config{Workers: workers}, n, 11, bg, emit); err != nil {
 		t.Fatal(err)
 	}
 	if err := sw.Close(); err != nil {

@@ -62,7 +62,7 @@ func (f *EngineFlags) RegisterReplay(fs *flag.FlagSet) {
 // names the attacked cipher from the registry (the tools that sweep or
 // synthesize cipher workloads), -figure the reproduced workload (each
 // tool documents its own value set). Tools register the subset that
-// applies and keep their historical spellings as deprecation shims.
+// applies.
 type TargetFlags struct {
 	// Target is the -target value; "" selects the AES default.
 	Target string

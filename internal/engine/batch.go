@@ -122,25 +122,6 @@ func (sc *batchScratch) ensure(cfg pipeline.Config, bp *replay.BatchProgram, n i
 	return nil
 }
 
-// RunBatch executes the program n times at once on the lane-parallel
-// replay path: init prepares each lane's initial architectural state on
-// a freshly wiped core (called once per lane), the batch VM replays all
-// lanes with fused power synthesis, and use receives each lane's
-// per-cycle noiseless power — bit-identical to
-// power.Model.CyclePowers over that execution's timeline — together
-// with the core holding its final architectural state (both valid only
-// during the call, lanes delivered in ascending order).
-//
-// The power model supplies the fused synthesis weights; it must be the
-// model the caller expands the cycle powers with, or the bit-identity
-// contract against the scalar path is void. An errBatchFallback return
-// means no lane was delivered and the caller must synthesize those
-// traces through Run; any other error is a genuine failure. RunBatch is
-// safe to call concurrently with itself and with Run.
-func (s *Synthesizer) RunBatch(m *power.Model, n int, init func(lane int, core *pipeline.Core) error, use func(lane int, cycles []float64, core *pipeline.Core) error) error {
-	return s.RunBatchBlock(m, n, &funcBlockRunner{init: init, use: use})
-}
-
 // BlockRunner is the callback pair of RunBatchBlock: InitLane prepares
 // one lane's initial architectural state, Block consumes the whole lane
 // batch at once. The interface form (rather than function values) lets
@@ -158,27 +139,19 @@ type BlockRunner interface {
 	Block(rows [][]float64, cores []*pipeline.Core) error
 }
 
-// funcBlockRunner adapts RunBatch's per-lane callbacks to BlockRunner.
-type funcBlockRunner struct {
-	init func(lane int, core *pipeline.Core) error
-	use  func(lane int, cycles []float64, core *pipeline.Core) error
-}
-
-func (f *funcBlockRunner) InitLane(lane int, core *pipeline.Core) error { return f.init(lane, core) }
-func (f *funcBlockRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
-	for lane := range rows {
-		if err := f.use(lane, rows[lane], cores[lane]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunBatchBlock is RunBatch delivering the batch as one block: after
-// the lane-parallel VM replays all n lanes with fused power synthesis,
-// r.Block receives every lane's cycle-power row together — the shape
-// the fused batch expansion (power.ExpandCyclesBatch) consumes. Same
-// fallback and bit-identity contract as RunBatch.
+// RunBatchBlock executes the program n times at once on the
+// lane-parallel replay path: r.InitLane prepares each lane's initial
+// architectural state on a freshly wiped core, the batch VM replays all
+// lanes with fused power synthesis, and r.Block receives every lane's
+// cycle-power row together — the shape the fused batch expansion
+// (power.ExpandCyclesBatch) consumes.
+//
+// The power model supplies the fused synthesis weights; it must be the
+// model the caller expands the cycle powers with, or the bit-identity
+// contract against the scalar path is void. An errBatchFallback return
+// means no lane was delivered and the caller must synthesize those
+// traces through Run; any other error is a genuine failure.
+// RunBatchBlock is safe to call concurrently with itself and with Run.
 func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error {
 	if n < 1 || n > replay.MaxLanes {
 		return fmt.Errorf("engine: batch of %d lanes out of [1,%d]", n, replay.MaxLanes)
@@ -280,94 +253,142 @@ func (bg *BatchGen) batchable() bool {
 		(bg.Averages > 0 || bg.Acquire != nil) && bg.Lanes >= 0
 }
 
-// runGroups drives the shared lane-group control flow of the batched
-// runners: it covers [0, total) in groups of at most `lanes` through
-// run, stopping early — without error — as soon as a group reports
-// errBatchFallback (the batch path is unavailable or a lane diverged).
-// It returns how many leading traces were batch-synthesized; the
-// caller synthesizes the rest on the scalar path. Any other error is
-// genuine and aborts.
-func runGroups(total, lanes int, run func(start, n int) error) (done int, err error) {
-	for done < total {
-		l := lanes
-		if l > total-done {
-			l = total - done
-		}
-		err := run(done, l)
-		if err == nil {
-			done += l
-			continue
-		}
-		if errors.Is(err, errBatchFallback) {
-			return done, nil
-		}
-		return done, err
+// validate rejects a batch generator no runner can drive.
+func (bg *BatchGen) validate() error {
+	if bg.Scalar == nil {
+		return fmt.Errorf("engine: batch generator needs a scalar fallback")
 	}
-	return done, nil
+	if bg.Lanes > replay.MaxLanes {
+		return fmt.Errorf("engine: %d lanes out of [1,%d]", bg.Lanes, replay.MaxLanes)
+	}
+	return nil
+}
+
+// fill synthesizes the traces of chunk c into bb: lane groups on the
+// batch path while it is ready, then bg.Scalar for whatever the batch
+// path did not cover — everything before the verification verdict, the
+// remainder of a chunk after a fallback.
+func (bg *BatchGen) fill(spec *Spec, c chunk, bb *batchBuf) error {
+	n := c.end - c.start
+	j := 0
+	if bg.batchable() {
+		// The group loop drives the persistent per-buffer runner, so a
+		// steady-state chunk on the fused path allocates nothing.
+		lanes := bg.lanes()
+		gr := &bb.group
+		gr.bg, gr.spec, gr.bb = bg, spec, bb
+		for j < n {
+			l := lanes
+			if l > n-j {
+				l = n - j
+			}
+			gr.base, gr.slot = c.start+j, j
+			err := bg.Synth.RunBatchBlock(bg.Model, l, gr)
+			if err == nil {
+				j += l
+				continue
+			}
+			if errors.Is(err, errBatchFallback) {
+				// The batch path is unavailable or a lane diverged: the
+				// rest of the chunk synthesizes on the scalar path,
+				// which re-detects any divergence.
+				break
+			}
+			return err
+		}
+	}
+	for ; j < n; j++ {
+		i := c.start + j
+		s := &bb.samples[j]
+		s.Trace = s.Trace[:0]
+		reseedTraceRNG(bb.rngs[j], spec.Seed, i)
+		if err := bg.Scalar(i, bb.rngs[j], s); err != nil {
+			return fmt.Errorf("engine: trace %d: %w", i, err)
+		}
+		if err := bb.record(spec, j, i); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunBatched executes the streaming CPA described by spec, synthesizing
 // traces through the lane-parallel replay path where it is available
-// and through bg.Scalar everywhere else — before the verification
-// window completes, on divergence, for non-replayable programs, and for
-// trace counts not divisible by the lane width (partial final batches).
-// Results are bit-identical to Run(cfg, spec, bg.Scalar) for every lane
-// width, worker count and chunk size.
+// and through bg.Scalar everywhere else — inside the verification
+// window, on divergence, for non-replayable programs. Results are
+// bit-identical to Run(cfg, spec, bg.Scalar) for every lane width,
+// worker count and chunk size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
-	if bg.Scalar == nil {
-		return nil, fmt.Errorf("engine: batch generator needs a scalar fallback")
+	if err := bg.validate(); err != nil {
+		return nil, err
 	}
-	if bg.Lanes > replay.MaxLanes {
-		return nil, fmt.Errorf("engine: %d lanes out of [1,%d]", bg.Lanes, replay.MaxLanes)
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
-	fill := func(c chunk, bb *batchBuf) error {
+	global, err := newBanks(spec.Banks, spec.Samples)
+	if err != nil {
+		return nil, err
+	}
+	ckpt := 0
+	err = runChunked(cfg, &spec, &bg, func(c chunk, bb *batchBuf) error {
 		n := c.end - c.start
-		j := 0
-		if bg.batchable() {
-			// The group loop is inlined (no runGroups closure) and drives
-			// the persistent per-buffer runner, so a steady-state chunk
-			// on the fused path allocates nothing.
-			lanes := bg.lanes()
-			gr := &bb.group
-			gr.bg, gr.spec, gr.bb = &bg, &spec, bb
-			for j < n {
-				l := lanes
-				if l > n-j {
-					l = n - j
-				}
-				gr.base, gr.slot = c.start+j, j
-				err := bg.Synth.RunBatchBlock(bg.Model, l, gr)
-				if err == nil {
-					j += l
-					continue
-				}
-				if errors.Is(err, errBatchFallback) {
-					// The batch path is unavailable or a lane diverged:
-					// the rest of the chunk synthesizes on the scalar
-					// path, which re-detects any divergence.
-					break
-				}
-				return err
+		for b, acc := range global {
+			var err error
+			switch a := acc.(type) {
+			case *sca.CPA:
+				err = a.AddBatch(bb.traces[:n], bb.hyps[b][:n])
+			case *sca.ClassCPA:
+				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
+			case *sca.ClassCPA2:
+				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
+			}
+			if err != nil {
+				return fmt.Errorf("engine: traces [%d,%d): %w", c.start, c.end, err)
 			}
 		}
-		// Whatever the batch path did not cover — everything before the
-		// verification window completes, the remainder of a chunk after
-		// a fallback — synthesizes on the scalar path.
-		for ; j < n; j++ {
-			i := c.start + j
-			s := &bb.samples[j]
-			s.Trace = s.Trace[:0]
-			reseedTraceRNG(bb.rngs[j], spec.Seed, i)
-			if err := bg.Scalar(i, bb.rngs[j], s); err != nil {
-				return fmt.Errorf("engine: trace %d: %w", i, err)
+		if ckpt < len(spec.Checkpoints) && c.end == spec.Checkpoints[ckpt] {
+			if spec.OnCheckpoint != nil {
+				spec.OnCheckpoint(c.end, global)
 			}
-			if err := bb.record(&spec, j, i); err != nil {
+			ckpt++
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return global, nil
+}
+
+// Emit receives trace i in strict index order on the reducer; it
+// typically appends to a file. The trace and aux record are valid only
+// during the call. Returning an error aborts the stream.
+type Emit func(i int, t trace.Trace, aux []byte) error
+
+// StreamBatched synthesizes n traces through bg on the same scheduler
+// as RunBatched and hands each trace with its Sample.Aux record
+// (typically the plaintext) to emit in trace-index order, so at most
+// ~workers chunks of traces are ever in memory — the parallel producer
+// behind tools that write trace sets without materializing them. The
+// emitted stream is identical for every lane width, worker count and
+// chunk size.
+func StreamBatched(cfg Config, n int, seed int64, bg BatchGen, emit Emit) error {
+	if err := bg.validate(); err != nil {
+		return err
+	}
+	if n < 1 {
+		return fmt.Errorf("engine: need at least 1 trace, got %d", n)
+	}
+	spec := Spec{Traces: n, Seed: seed}
+	return runChunked(cfg, &spec, &bg, func(c chunk, bb *batchBuf) error {
+		for j := 0; j < c.end-c.start; j++ {
+			s := &bb.samples[j]
+			if err := emit(c.start+j, s.Trace, s.Aux); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	return runChunked(cfg, spec, fill)
+	})
 }
 
 // groupRunner is the persistent BlockRunner of the batched CPA path:
@@ -442,116 +463,4 @@ func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 		}
 	}
 	return nil
-}
-
-// BatchStream is the batched form of a Produce, with the same phase
-// split as BatchGen: Prepare draws the trace's randomness and prepares
-// the core, Acquire turns the lane's fused cycle powers into the trace.
-// The aux record returned by Prepare (typically the plaintext) is
-// handed back to Acquire and then emitted alongside the trace.
-type BatchStream struct {
-	// Synth is the synthesis seam; nil disables the batch path.
-	Synth *Synthesizer
-	// Model supplies the fused synthesis weights.
-	Model *power.Model
-	// Lanes is the batch width: 0 selects DefaultLanes, negative
-	// disables batching.
-	Lanes int
-	// Prepare draws the trace's randomness, initializes the core and
-	// returns the aux record.
-	Prepare func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error)
-	// Acquire expands the lane's cycle powers into the trace, checking
-	// the final state on core as needed.
-	Acquire func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error)
-	// Scalar is the per-trace fallback producer.
-	Scalar Produce
-}
-
-// StreamBatched is Stream over the lane-parallel replay path, with the
-// same ordering and bit-identity guarantees as RunBatched: the emitted
-// byte stream is identical to Stream(cfg, n, seed, bs.Scalar, emit) for
-// every lane width and worker count.
-func StreamBatched(cfg Config, n int, seed int64, bs BatchStream, emit Emit) error {
-	if bs.Scalar == nil {
-		return fmt.Errorf("engine: batch stream needs a scalar fallback")
-	}
-	if bs.Lanes > replay.MaxLanes {
-		return fmt.Errorf("engine: %d lanes out of [1,%d]", bs.Lanes, replay.MaxLanes)
-	}
-	if n < 1 {
-		return fmt.Errorf("engine: need at least 1 trace, got %d", n)
-	}
-	batchable := bs.Synth != nil && bs.Model != nil && bs.Prepare != nil && bs.Acquire != nil && bs.Lanes >= 0
-	lanes := bs.Lanes
-	if lanes <= 0 {
-		lanes = DefaultLanes
-	}
-	type item struct {
-		t   trace.Trace
-		aux []byte
-	}
-	cs := chunks(n, cfg.chunkSize(), nil)
-
-	work := func(idx int) ([]item, error) {
-		if err := cfg.ctxErr(); err != nil {
-			return nil, err
-		}
-		if err := cfg.Gate.acquire(cfg.Ctx); err != nil {
-			return nil, err
-		}
-		defer cfg.Gate.release()
-		c := cs[idx]
-		items := make([]item, c.end-c.start)
-		rngs := make([]*rand.Rand, 0, lanes)
-		j := 0
-		if batchable {
-			var err error
-			j, err = runGroups(c.end-c.start, lanes, func(start, l int) error {
-				base := c.start + start
-				rngs = rngs[:0]
-				init := func(lane int, core *pipeline.Core) error {
-					i := base + lane
-					rng := TraceRNG(seed, i)
-					rngs = append(rngs, rng)
-					aux, err := bs.Prepare(i, rng, core)
-					if err != nil {
-						return fmt.Errorf("engine: trace %d: %w", i, err)
-					}
-					items[start+lane] = item{aux: aux}
-					return nil
-				}
-				use := func(lane int, cycles []float64, core *pipeline.Core) error {
-					i := base + lane
-					t, err := bs.Acquire(i, rngs[lane], cycles, core, items[start+lane].aux)
-					if err != nil {
-						return fmt.Errorf("engine: trace %d: %w", i, err)
-					}
-					items[start+lane].t = t
-					return nil
-				}
-				return bs.Synth.RunBatch(bs.Model, l, init, use)
-			})
-			if err != nil {
-				return nil, err
-			}
-		}
-		for ; j < c.end-c.start; j++ {
-			i := c.start + j
-			t, aux, err := bs.Scalar(i, TraceRNG(seed, i))
-			if err != nil {
-				return nil, fmt.Errorf("engine: trace %d: %w", i, err)
-			}
-			items[j] = item{t, aux}
-		}
-		return items, nil
-	}
-	reduce := func(idx int, items []item) error {
-		for j, it := range items {
-			if err := emit(cs[idx].start+j, it.t, it.aux); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return orderedChunks(cfg.workers(), len(cs), work, reduce)
 }

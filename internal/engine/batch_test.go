@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/isa"
@@ -291,69 +294,118 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	}
 }
 
-// TestStreamBatchedBitIdenticalToStream pins the trace-set producer:
-// batched and scalar streams must emit byte-identical sequences, traces
-// in order, for partial final batches included.
-func TestStreamBatchedBitIdenticalToStream(t *testing.T) {
+// streamGen is gen reshaped for StreamBatched: no banks, the drawn
+// operand travels in s.Aux, Verify checks the final register against
+// it, and each trace is one unaveraged expansion into the recycled
+// trace storage.
+func (f *batchFixture) streamGen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+	t.Helper()
+	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	draw := func(rng *rand.Rand, s *Sample) uint32 {
+		v := rng.Uint32()
+		s.Aux = binary.LittleEndian.AppendUint32(s.Aux[:0], v)
+		return v
+	}
+	verify := func(i int, core *pipeline.Core, s *Sample) error {
+		if got, want := core.Reg(isa.R0), binary.LittleEndian.Uint32(s.Aux)+0x5A5A5A5A; got != want {
+			return fmt.Errorf("trace %d: r0 = %#x, want %#x", i, got, want)
+		}
+		return nil
+	}
+	scalar := func(i int, rng *rand.Rand, s *Sample) error {
+		v := draw(rng, s)
+		return synth.Run(
+			func(core *pipeline.Core) { f.initCore(core, v) },
+			func(tl pipeline.Timeline, core *pipeline.Core) error {
+				if err := verify(i, core, s); err != nil {
+					return err
+				}
+				s.Trace = f.m.SynthesizeInto(s.Trace, tl, rng)
+				return nil
+			})
+	}
+	return BatchGen{
+		Synth: synth,
+		Model: &f.m,
+		Lanes: lanes,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
+			f.initCore(core, draw(rng, s))
+			return nil
+		},
+		Verify: verify,
+		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
+			s.Trace = f.m.ExpandCyclesInto(s.Trace, cycles, rng)
+			return nil
+		},
+		Scalar: scalar,
+	}, synth
+}
+
+// stream runs StreamBatched and returns private copies of every
+// emitted trace and aux record, checking strict index order.
+func stream(t *testing.T, cfg Config, n int, seed int64, bg BatchGen) ([]trace.Trace, [][]byte) {
+	t.Helper()
+	var traces []trace.Trace
+	var auxes [][]byte
+	err := StreamBatched(cfg, n, seed, bg, func(i int, tr trace.Trace, aux []byte) error {
+		if i != len(traces) {
+			return fmt.Errorf("emitted trace %d, want %d", i, len(traces))
+		}
+		traces = append(traces, append(trace.Trace(nil), tr...))
+		auxes = append(auxes, append([]byte(nil), aux...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return traces, auxes
+}
+
+// sameStream reports the first difference between two emitted streams,
+// bit for bit ("" when identical).
+func sameStream(aT, bT []trace.Trace, aA, bA [][]byte) string {
+	if len(aT) != len(bT) {
+		return fmt.Sprintf("%d vs %d traces", len(aT), len(bT))
+	}
+	for i := range aT {
+		if len(aT[i]) != len(bT[i]) {
+			return fmt.Sprintf("trace %d: length %d vs %d", i, len(aT[i]), len(bT[i]))
+		}
+		for s := range aT[i] {
+			if math.Float64bits(aT[i][s]) != math.Float64bits(bT[i][s]) {
+				return fmt.Sprintf("trace %d sample %d differs", i, s)
+			}
+		}
+		if string(aA[i]) != string(bA[i]) {
+			return fmt.Sprintf("trace %d aux differs", i)
+		}
+	}
+	return ""
+}
+
+// TestStreamBatchedBitIdenticalToScalar pins the trace-set producer:
+// every lane width, worker count and chunk size must emit the
+// byte-identical sequence the scalar path (Lanes -1) emits, traces in
+// order, partial final batches included — and the batch path must
+// really have run.
+func TestStreamBatchedBitIdenticalToScalar(t *testing.T) {
 	f := newBatchFixture(0)
 	const n = 107
-	mk := func(lanes int) ([]trace.Trace, [][]byte) {
-		synth, err := NewSynthesizer(ModeAuto, f.cfg, f.prog)
-		if err != nil {
-			t.Fatal(err)
+	refGen, _ := f.streamGen(t, ModeAuto, -1)
+	refT, refA := stream(t, Config{Workers: 1}, n, 5, refGen)
+	for _, tc := range []struct{ lanes, workers, chunk int }{
+		{0, 2, 0}, {1, 1, 0}, {16, 2, 0}, {33, 3, 50}, {64, 2, 96}, {8, 4, 7},
+	} {
+		bg, synth := f.streamGen(t, ModeAuto, tc.lanes)
+		gotT, gotA := stream(t, Config{Workers: tc.workers, ChunkSize: tc.chunk}, n, 5, bg)
+		if d := sameStream(refT, gotT, refA, gotA); d != "" {
+			t.Fatalf("lanes=%d workers=%d chunk=%d: %s", tc.lanes, tc.workers, tc.chunk, d)
 		}
-		scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			v := rng.Uint32()
-			var out trace.Trace
-			err := synth.Run(
-				func(core *pipeline.Core) { f.initCore(core, v) },
-				func(tl pipeline.Timeline, core *pipeline.Core) error {
-					out = f.m.Synthesize(tl, rng)
-					return nil
-				})
-			return out, []byte{byte(v)}, err
-		}
-		bs := BatchStream{
-			Synth: synth,
-			Model: &f.m,
-			Lanes: lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
-				v := rng.Uint32()
-				f.initCore(core, v)
-				return []byte{byte(v)}, nil
-			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				return f.m.ExpandCycles(cycles, rng), nil
-			},
-			Scalar: scalar,
-		}
-		var traces []trace.Trace
-		var auxes [][]byte
-		err = StreamBatched(Config{Workers: 2}, n, 5, bs, func(i int, tr trace.Trace, aux []byte) error {
-			traces = append(traces, append(trace.Trace(nil), tr...))
-			auxes = append(auxes, append([]byte(nil), aux...))
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return traces, auxes
-	}
-	refT, refA := mk(-1)
-	for _, lanes := range []int{0, 1, 16, 33, 64} {
-		gotT, gotA := mk(lanes)
-		for i := range refT {
-			if len(gotT[i]) != len(refT[i]) {
-				t.Fatalf("lanes=%d trace %d: length %d vs %d", lanes, i, len(gotT[i]), len(refT[i]))
-			}
-			for s := range refT[i] {
-				if math.Float64bits(gotT[i][s]) != math.Float64bits(refT[i][s]) {
-					t.Fatalf("lanes=%d trace %d sample %d differs", lanes, i, s)
-				}
-			}
-			if string(gotA[i]) != string(refA[i]) {
-				t.Fatalf("lanes=%d trace %d aux differs", lanes, i)
-			}
+		if synth.BatchRuns() == 0 {
+			t.Fatalf("lanes=%d workers=%d chunk=%d: batch path never ran", tc.lanes, tc.workers, tc.chunk)
 		}
 	}
 }
@@ -395,6 +447,10 @@ func TestRunBatchedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation defeats sync.Pool caching")
 	}
+	// A collection empties the sync.Pools the steady state relies on;
+	// one landing inside a single measurement would count re-warming
+	// them as per-chunk allocation.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const chunk = DefaultChunkSize
 	measure := func(extra int) float64 {
 		f := newBatchFixture(VerifyRuns + extra*chunk)

@@ -18,7 +18,11 @@
 // — a pure function of (Seed, Traces), never of Workers, ChunkSize or
 // scheduling. Runs with one worker and with sixteen produce
 // bit-identical accumulators, and so do runs with different chunk
-// sizes.
+// sizes. Which synthesis path each trace takes (verification, scalar
+// replay or a lane batch) is fixed the same way: the auto-mode
+// verification window runs as a barrier prefix of the schedule (see
+// runChunked), so the path choice never depends on Workers or
+// scheduling either.
 package engine
 
 import (
@@ -146,7 +150,8 @@ type Sample struct {
 	Scratch []float64
 	// Aux is caller-owned per-trace storage preserved across recycling
 	// (capacity intact, like Trace) — the batched generators use it to
-	// carry the plaintext from the prepare phase to the verify phase.
+	// carry the plaintext from the prepare phase to the verify phase,
+	// and StreamBatched emits it alongside the trace.
 	Aux []byte
 }
 
@@ -235,15 +240,16 @@ func (s *Spec) validate() error {
 // chunk is a half-open trace-index range.
 type chunk struct{ start, end int }
 
-// chunks cuts [0, traces) at every multiple of size and at every
-// checkpoint, so reduced prefixes land exactly on checkpoint boundaries.
-func chunks(traces, size int, checkpoints []int) []chunk {
+// chunks cuts [0, traces) at every multiple of size and at every extra
+// cut inside the range — checkpoints, so reduced prefixes land exactly
+// on them, and the verification window's bounds (see runChunked).
+func chunks(traces, size int, extra []int) []chunk {
 	cuts := map[int]bool{}
 	for b := size; b < traces; b += size {
 		cuts[b] = true
 	}
-	for _, n := range checkpoints {
-		if n < traces {
+	for _, n := range extra {
+		if n > 0 && n < traces {
 			cuts[n] = true
 		}
 	}
@@ -289,18 +295,36 @@ func Run(cfg Config, spec Spec, gen Generate) ([]sca.Accumulator, error) {
 	return RunBatched(cfg, spec, BatchGen{Scalar: gen})
 }
 
-// runChunked is the shared scheduler body: fill synthesizes the traces
-// of one chunk into a batch buffer on a worker; the reducer accumulates
-// finished buffers in chunk order and recycles them.
-func runChunked(cfg Config, spec Spec, fill func(c chunk, bb *batchBuf) error) ([]sca.Accumulator, error) {
-	if err := spec.validate(); err != nil {
-		return nil, err
+// runChunked is the engine's one chunk-scheduler body, shared by
+// RunBatched and StreamBatched: workers synthesize chunks of spec's
+// traces into pooled batch buffers through bg, and reduce consumes the
+// finished buffers in strict chunk order on the reducer, which recycles
+// each buffer once reduce returns.
+//
+// In auto mode, until bg.Synth has reached its verdict, the chunks
+// covering the rest of the verification window form a barrier prefix:
+// the chunks are cut at the window's end, and no later chunk is
+// dispatched before the prefix is reduced. Every prefix trace thus
+// takes the dual verification run and every later trace sees the
+// verdict, so which path a trace takes — verification, scalar replay or
+// batch — depends only on (program, Traces, Lanes, ChunkSize) and the
+// Synthesizer's prior runs, never on Workers or scheduling. The prefix
+// is also cut into one piece per worker: no lane batch can share its
+// dual runs, so they spread over the pool instead.
+func runChunked(cfg Config, spec *Spec, bg *BatchGen, reduce func(c chunk, bb *batchBuf) error) error {
+	verify := bg.Synth.verifyLeft()
+	cuts := append([]int{verify}, spec.Checkpoints...)
+	if w := cfg.workers(); verify > 0 && w > 1 {
+		step := (verify + w - 1) / w
+		for b := step; b < verify; b += step {
+			cuts = append(cuts, b)
+		}
 	}
-	global, err := newBanks(spec.Banks, spec.Samples)
-	if err != nil {
-		return nil, err
+	cs := chunks(spec.Traces, cfg.chunkSize(), cuts)
+	barrier := 0
+	for barrier < len(cs) && cs[barrier].start < verify {
+		barrier++
 	}
-	cs := chunks(spec.Traces, cfg.chunkSize(), spec.Checkpoints)
 
 	chunkCap := cfg.chunkSize()
 	for _, c := range cs {
@@ -348,52 +372,24 @@ func runChunked(cfg Config, spec Spec, fill func(c chunk, bb *batchBuf) error) (
 		}
 		defer cfg.Gate.release()
 		bb := batches.Get().(*batchBuf)
-		if err := fill(cs[idx], bb); err != nil {
+		if err := bg.fill(spec, cs[idx], bb); err != nil {
 			batches.Put(bb)
 			return nil, err
 		}
 		return bb, nil
 	}
-
-	ckpt := 0
-	reduce := func(idx int, bb *batchBuf) error {
+	return orderedChunks(cfg.workers(), len(cs), barrier, work, func(idx int, bb *batchBuf) error {
 		defer batches.Put(bb)
-		n := cs[idx].end - cs[idx].start
-		for b, acc := range global {
-			var err error
-			switch a := acc.(type) {
-			case *sca.CPA:
-				err = a.AddBatch(bb.traces[:n], bb.hyps[b][:n])
-			case *sca.ClassCPA:
-				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
-			case *sca.ClassCPA2:
-				err = a.AddBatch(bb.classes[b][:n], bb.traces[:n])
-			}
-			if err != nil {
-				return fmt.Errorf("engine: chunk %d: %w", idx, err)
-			}
-		}
-		merged := cs[idx].end
-		if ckpt < len(spec.Checkpoints) && merged == spec.Checkpoints[ckpt] {
-			if spec.OnCheckpoint != nil {
-				spec.OnCheckpoint(merged, global)
-			}
-			ckpt++
-		}
-		return nil
-	}
-
-	if err := orderedChunks(cfg.workers(), len(cs), work, reduce); err != nil {
-		return nil, err
-	}
-	return global, nil
+		return reduce(cs[idx], bb)
+	})
 }
 
 // record validates trace j of a chunk after its Generate/batch phase
-// and files its trace, hypothesis and class views for the reducer.
+// and files its trace, hypothesis and class views for the reducer. A
+// streaming spec (Samples 0, no banks) leaves the length to its emit.
 func (bb *batchBuf) record(spec *Spec, j, traceIdx int) error {
 	s := &bb.samples[j]
-	if len(s.Trace) != spec.Samples {
+	if spec.Samples > 0 && len(s.Trace) != spec.Samples {
 		return fmt.Errorf("engine: trace %d has %d samples, want %d", traceIdx, len(s.Trace), spec.Samples)
 	}
 	bb.traces[j] = s.Trace

@@ -332,13 +332,19 @@ func TestTraceRNGFullSeedSpace(t *testing.T) {
 	}
 }
 
-func TestStreamOrderedEmit(t *testing.T) {
+// TestStreamBatchedOrderedEmit pins the streaming reducer's ordering:
+// with many workers and tiny chunks finishing out of order, emit still
+// sees every trace exactly once in strict index order, with its own
+// aux record.
+func TestStreamBatchedOrderedEmit(t *testing.T) {
 	var got []int
 	var vals []float64
-	err := Stream(Config{Workers: 5, ChunkSize: 3}, 43, 2,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			return trace.Trace{float64(i), rng.Float64()}, []byte{byte(i)}, nil
-		},
+	gen := func(i int, rng *rand.Rand, s *Sample) error {
+		s.Trace = append(s.Trace, float64(i), rng.Float64())
+		s.Aux = append(s.Aux[:0], byte(i))
+		return nil
+	}
+	err := StreamBatched(Config{Workers: 5, ChunkSize: 3}, 43, 2, BatchGen{Scalar: gen},
 		func(i int, tr trace.Trace, aux []byte) error {
 			got = append(got, i)
 			vals = append(vals, tr[0])
@@ -360,24 +366,28 @@ func TestStreamOrderedEmit(t *testing.T) {
 	}
 }
 
-func TestStreamPropagatesErrors(t *testing.T) {
-	boom := errors.New("produce failed")
-	err := Stream(Config{Workers: 2}, 10, 1,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
+// TestStreamBatchedPropagatesErrors pins both abort paths of a stream:
+// a generator error and an emit error each end the run with that error.
+func TestStreamBatchedPropagatesErrors(t *testing.T) {
+	boom := errors.New("generate failed")
+	err := StreamBatched(Config{Workers: 2}, 10, 1,
+		BatchGen{Scalar: func(i int, rng *rand.Rand, s *Sample) error {
 			if i == 7 {
-				return nil, nil, boom
+				return boom
 			}
-			return trace.Trace{0}, nil, nil
-		},
+			s.Trace = append(s.Trace, 0)
+			return nil
+		}},
 		func(i int, tr trace.Trace, aux []byte) error { return nil })
 	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want produce error", err)
+		t.Fatalf("err = %v, want generate error", err)
 	}
 	emitErr := errors.New("emit failed")
-	err = Stream(Config{Workers: 2}, 10, 1,
-		func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-			return trace.Trace{0}, nil, nil
-		},
+	err = StreamBatched(Config{Workers: 2}, 10, 1,
+		BatchGen{Scalar: func(i int, rng *rand.Rand, s *Sample) error {
+			s.Trace = append(s.Trace, 0)
+			return nil
+		}},
 		func(i int, tr trace.Trace, aux []byte) error {
 			if i == 4 {
 				return emitErr

@@ -220,6 +220,18 @@ func (s *Synthesizer) Run(init func(*pipeline.Core), use func(pipeline.Timeline,
 	return use(tl, core)
 }
 
+// verifyLeft returns how many leading executions the auto-mode
+// verification window still needs before its verdict: 0 once the window
+// passed or replay fell back, outside auto mode, and for a nil
+// Synthesizer. The engine's scheduler runs that many traces as a
+// barrier prefix (see runChunked).
+func (s *Synthesizer) verifyLeft() int {
+	if s == nil || s.mode != ModeAuto || s.fellBack.Load() {
+		return 0
+	}
+	return max(VerifyRuns-int(s.verified.Load()), 0)
+}
+
 // simulate runs the full cycle-level simulator on core.
 func (s *Synthesizer) simulate(core *pipeline.Core, use func(pipeline.Timeline, *pipeline.Core) error) error {
 	res, err := core.Run(s.prog)

@@ -75,17 +75,6 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 			b.Setup(rng, core)
 		}
 	}
-	scalar := func(i int, rng *rand.Rand) (trace.Trace, []byte, error) {
-		var tr trace.Trace
-		err := synth.Run(
-			func(core *pipeline.Core) { setup(i, rng, core) },
-			func(tl pipeline.Timeline, _ *pipeline.Core) error {
-				tr = opt.Model.SynthesizeAveraged(tl, rng, opt.Averages)
-				return nil
-			})
-		return tr, nil, err
-	}
-
 	w := sca.NewWelch(nSamples)
 	emit := func(i int, tr trace.Trace, _ []byte) error {
 		if len(tr) != nSamples {
@@ -97,19 +86,26 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 	err = engine.StreamBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		opt.Traces, opt.Seed,
-		engine.BatchStream{
+		engine.BatchGen{
 			Synth: synth,
 			Model: &opt.Model,
 			Lanes: opt.Lanes,
-			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core) ([]byte, error) {
+			Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, _ *engine.Sample) error {
 				setup(i, rng, core)
-				return nil, nil
+				return nil
 			},
-			Acquire: func(i int, rng *rand.Rand, cycles []float64, core *pipeline.Core, aux []byte) (trace.Trace, error) {
-				tr, _ := opt.Model.AveragedCyclesInto(nil, nil, cycles, rng, opt.Averages)
-				return tr, nil
+			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
+				s.Trace, s.Scratch = opt.Model.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, opt.Averages)
+				return nil
 			},
-			Scalar: scalar,
+			Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
+				return synth.Run(
+					func(core *pipeline.Core) { setup(i, rng, core) },
+					func(tl pipeline.Timeline, _ *pipeline.Core) error {
+						s.Trace, s.Scratch = opt.Model.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, opt.Averages)
+						return nil
+					})
+			},
 		},
 		emit)
 	if err != nil {
