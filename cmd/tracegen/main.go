@@ -153,9 +153,10 @@ func main() {
 		return nil
 	}
 
-	// -n 0 is a valid request for a header-only (empty) set. The batch
-	// path shares the scalar producer's per-trace rng draw order, so the
-	// file is byte-identical for every -lanes and -workers value.
+	// -n 0 is a valid request for a header-only (empty) set. The engine
+	// runs these phases on every path in the same per-trace rng draw
+	// order, so the file is byte-identical for every -lanes and -workers
+	// value.
 	if err == nil && *n > 0 {
 		// The plaintext travels in the sample's aux record; the emitted
 		// trace is written before its storage is recycled.
@@ -181,18 +182,6 @@ func main() {
 			Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
 				s.Trace = env.AcquireCycles(cycles, &model, rng, *avg)
 				return nil
-			},
-			Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
-				pt := plaintext(rng, s)
-				return synth.Run(
-					func(core *pipeline.Core) { inst.InitCore(core, pt) },
-					func(tl pipeline.Timeline, core *pipeline.Core) error {
-						if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
-							return err
-						}
-						s.Trace = env.Acquire(tl, &model, rng, *avg)
-						return nil
-					})
 			},
 		}
 		err = engine.StreamBatched(engine.Config{Workers: ef.Workers}, *n, ef.Seed, bg, emit)

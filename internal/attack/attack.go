@@ -265,28 +265,6 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 			hyps[k] = float64(sca.HD8(sPrev, aes.SubBytesOut(pt[opt.KeyByte], byte(k))))
 		}
 	}
-	scalar := func(i int, rng *rand.Rand, s *engine.Sample) error {
-		var pt [aes.BlockSize]byte
-		rng.Read(pt[:])
-		err := synth.Run(
-			func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if _, err := tgt.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				tr := opt.Env.Acquire(tl, &opt.Model, rng, opt.Averages)
-				if len(tr) != nSamples {
-					tr = tr.Resize(nSamples)
-				}
-				s.Trace = tr
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		fig4Hyps(pt, s.Hyps[0])
-		return nil
-	}
 	banks, err := engine.RunBatched(
 		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
 		engine.Spec{Traces: opt.Traces, Samples: nSamples, Banks: engine.HypothesisBanks(256), Seed: opt.Seed},
@@ -316,7 +294,6 @@ func RunFigure4(key [aes.KeySize]byte, opt Fig4Options) (*Fig4Result, error) {
 				s.Trace = tr
 				return nil
 			},
-			Scalar: scalar,
 		})
 	if err != nil {
 		return nil, err

@@ -135,29 +135,11 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 			sm.Class[i] = inst.Class(b, pt)
 		}
 	}
-	scalar := func(i int, rng *rand.Rand, sm *engine.Sample) error {
-		pt := make([]byte, bs)
-		rng.Read(pt)
-		err := s.synth.Run(
-			func(core *pipeline.Core) { inst.InitCore(core, pt) },
-			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if err := inst.VerifyOutput(core.Mem(), pt); err != nil {
-					return err
-				}
-				sm.Trace, sm.Scratch = opt.Model.SynthesizeAveragedInto(sm.Trace, sm.Scratch, tl, rng, opt.Averages)
-				return nil
-			})
-		if err != nil {
-			return err
-		}
-		setClasses(sm, pt)
-		return nil
-	}
 	return engine.BatchGen{
 		Synth:    s.synth,
 		Model:    &opt.Model,
 		Lanes:    opt.Lanes,
-		Averages: max(opt.Averages, 1), // the scalar expansion clamps identically
+		Averages: max(opt.Averages, 1), // positive: the fused expansion
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, sm *engine.Sample) error {
 			if cap(sm.Aux) < bs {
 				sm.Aux = make([]byte, bs)
@@ -171,7 +153,6 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 		Verify: func(i int, core *pipeline.Core, sm *engine.Sample) error {
 			return inst.VerifyOutput(core.Mem(), sm.Aux)
 		},
-		Scalar: scalar,
 	}
 }
 

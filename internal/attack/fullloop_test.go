@@ -54,39 +54,24 @@ func captureSet(t *testing.T, n, workers, lanes int, key [aes.KeySize]byte) ([]t
 		aux = append(aux, append([]byte(nil), a...))
 		return sw.Append(tr, a)
 	}
-	plaintext := func(rng *rand.Rand, s *engine.Sample) (pt [aes.BlockSize]byte) {
-		rng.Read(pt[:])
-		s.Aux = append(s.Aux[:0], pt[:]...)
-		return pt
-	}
-	verify := func(core *pipeline.Core, s *engine.Sample) error {
-		_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
-		return err
-	}
 	bg := engine.BatchGen{
 		Synth: synth,
 		Model: &model,
 		Lanes: lanes,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *engine.Sample) error {
-			tgt.InitCore(core, plaintext(rng, s))
+			var pt [aes.BlockSize]byte
+			rng.Read(pt[:])
+			s.Aux = append(s.Aux[:0], pt[:]...)
+			tgt.InitCore(core, pt)
 			return nil
 		},
-		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error { return verify(core, s) },
+		Verify: func(i int, core *pipeline.Core, s *engine.Sample) error {
+			_, err := tgt.VerifyOutput(core.Mem(), [aes.BlockSize]byte(s.Aux))
+			return err
+		},
 		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *engine.Sample) error {
 			s.Trace = env.AcquireCycles(cycles, &model, rng, avg)
 			return nil
-		},
-		Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
-			pt := plaintext(rng, s)
-			return synth.Run(
-				func(core *pipeline.Core) { tgt.InitCore(core, pt) },
-				func(tl pipeline.Timeline, core *pipeline.Core) error {
-					if err := verify(core, s); err != nil {
-						return err
-					}
-					s.Trace = env.Acquire(tl, &model, rng, avg)
-					return nil
-				})
 		},
 	}
 	if err := engine.StreamBatched(engine.Config{Workers: workers}, n, 11, bg, emit); err != nil {

@@ -24,10 +24,10 @@ const DefaultLanes = replay.MaxLanes
 
 // errBatchFallback reports that a lane batch could not run (the replay
 // schedule is unavailable, still inside its verification window, or a
-// lane diverged). The engine replays the affected traces through the
-// scalar path, which re-detects any divergence and takes the canonical
-// fallback — so results never depend on whether the batch path was
-// taken.
+// lane diverged). The engine synthesizes the affected traces one
+// Synthesizer.Run at a time, which re-detects any divergence and takes
+// the canonical fallback — so results never depend on whether the
+// batch path was taken.
 var errBatchFallback = errors.New("engine: batch synthesis unavailable")
 
 // BatchReady reports whether the lane-parallel replay path may run now:
@@ -148,7 +148,7 @@ type BlockRunner interface {
 //
 // The power model supplies the fused synthesis weights; it must be the
 // model the caller expands the cycle powers with, or the bit-identity
-// contract against the scalar path is void. An errBatchFallback return
+// contract against Run is void. An errBatchFallback return
 // means no lane was delivered and the caller must synthesize those
 // traces through Run; any other error is a genuine failure.
 // RunBatchBlock is safe to call concurrently with itself and with Run.
@@ -195,14 +195,17 @@ func (s *Synthesizer) RunBatchBlock(m *power.Model, n int, r BlockRunner) error 
 	return r.Block(rows, sc.cores[:n])
 }
 
-// BatchGen is the batched form of a Generate: the same per-trace
-// semantics split into phases so a lane batch can share one schedule
-// walk. For every trace the engine calls Prepare (pre-execution
-// randomness, initial core state, hypotheses or class), then — after
-// the batch VM replayed all lanes — Verify and Acquire in trace order.
-// Per-trace rng draws happen in the same order as the scalar path
-// (Prepare's draws before Acquire's), and every trace's stream is
-// private, so batch and scalar synthesis are bit-identical.
+// BatchGen defines an acquisition as phases: for every trace the engine
+// calls Prepare (pre-execution randomness, initial core state,
+// hypotheses or class), executes the program, then calls Verify and
+// expands the cycle powers (Averages or Acquire). A lane batch runs the
+// phases over one shared schedule walk; a trace outside a lane batch —
+// inside the verification window, after a fallback, at Lanes < 0, or
+// under ModeSimulate — runs the same phases on one Synthesizer.Run
+// execution, its cycle powers taken from the timeline. Both paths make
+// the same per-trace rng draws in the same order (Prepare's, then the
+// expansion's, on the trace's private stream), so they are
+// bit-identical by construction.
 type BatchGen struct {
 	// Synth is the synthesis seam; nil disables the batch path.
 	Synth *Synthesizer
@@ -210,8 +213,8 @@ type BatchGen struct {
 	// parameters Acquire uses.
 	Model *power.Model
 	// Lanes is the batch width: 0 selects DefaultLanes, negative
-	// disables the batch path (scalar synthesis only), otherwise
-	// 1..replay.MaxLanes.
+	// disables the batch path (one Synthesizer.Run per trace),
+	// otherwise 1..replay.MaxLanes.
 	Lanes int
 	// Prepare draws the trace's pre-execution randomness (e.g. the
 	// plaintext, kept in s.Aux), initializes the core's architectural
@@ -228,14 +231,15 @@ type BatchGen struct {
 	// Model.ExpandCyclesInto averaged per trace, and to the Acquire
 	// form below over the same streams. Acquire is then unused.
 	Averages int
-	// Acquire expands the lane's fused cycle powers into s.Trace,
-	// drawing the trace's noise from rng — bit-identical to the scalar
-	// path's timeline synthesis. Only consulted when Averages == 0,
+	// Acquire expands the lane's cycle powers into s.Trace, drawing the
+	// trace's noise from rng. Only consulted when Averages == 0,
 	// for acquisitions the fused expansion cannot express (e.g. the
 	// OS-noise model's extra draws).
 	Acquire func(i int, rng *rand.Rand, cycles []float64, s *Sample) error
-	// Scalar is the equivalent per-trace generator, used before the
-	// replay schedule is batch-ready and whenever a batch falls back.
+	// Scalar, if set, synthesizes every trace outside a lane batch in
+	// place of the phases. It is for generators the phases cannot
+	// express (e.g. Run's Generate, which has no Synthesizer); with the
+	// phases set too, it must be bit-identical to them.
 	Scalar Generate
 }
 
@@ -247,16 +251,16 @@ func (bg *BatchGen) lanes() int {
 	return bg.Lanes
 }
 
-// batchable reports whether the batch path is configured at all.
-func (bg *BatchGen) batchable() bool {
+// phased reports whether the phases fully define a trace.
+func (bg *BatchGen) phased() bool {
 	return bg.Synth != nil && bg.Model != nil && bg.Prepare != nil &&
-		(bg.Averages > 0 || bg.Acquire != nil) && bg.Lanes >= 0
+		(bg.Averages > 0 || bg.Acquire != nil)
 }
 
 // validate rejects a batch generator no runner can drive.
 func (bg *BatchGen) validate() error {
-	if bg.Scalar == nil {
-		return fmt.Errorf("engine: batch generator needs a scalar fallback")
+	if bg.Scalar == nil && !bg.phased() {
+		return fmt.Errorf("engine: batch generator needs a scalar generator or a complete phase set")
 	}
 	if bg.Lanes > replay.MaxLanes {
 		return fmt.Errorf("engine: %d lanes out of [1,%d]", bg.Lanes, replay.MaxLanes)
@@ -265,18 +269,18 @@ func (bg *BatchGen) validate() error {
 }
 
 // fill synthesizes the traces of chunk c into bb: lane groups on the
-// batch path while it is ready, then bg.Scalar for whatever the batch
-// path did not cover — everything before the verification verdict, the
-// remainder of a chunk after a fallback.
+// batch path while it is ready, then one trace at a time for whatever
+// the batch path did not cover — everything before the verification
+// verdict, the remainder of a chunk after a fallback.
 func (bg *BatchGen) fill(spec *Spec, c chunk, bb *batchBuf) error {
 	n := c.end - c.start
 	j := 0
-	if bg.batchable() {
-		// The group loop drives the persistent per-buffer runner, so a
-		// steady-state chunk on the fused path allocates nothing.
+	// The persistent per-buffer runner drives both paths, so a
+	// steady-state chunk on the fused path allocates nothing.
+	gr := &bb.group
+	gr.bg, gr.spec, gr.bb = bg, spec, bb
+	if bg.phased() && bg.Lanes >= 0 {
 		lanes := bg.lanes()
-		gr := &bb.group
-		gr.bg, gr.spec, gr.bb = bg, spec, bb
 		for j < n {
 			l := lanes
 			if l > n-j {
@@ -290,7 +294,7 @@ func (bg *BatchGen) fill(spec *Spec, c chunk, bb *batchBuf) error {
 			}
 			if errors.Is(err, errBatchFallback) {
 				// The batch path is unavailable or a lane diverged: the
-				// rest of the chunk synthesizes on the scalar path,
+				// rest of the chunk synthesizes one trace at a time,
 				// which re-detects any divergence.
 				break
 			}
@@ -299,6 +303,13 @@ func (bg *BatchGen) fill(spec *Spec, c chunk, bb *batchBuf) error {
 	}
 	for ; j < n; j++ {
 		i := c.start + j
+		if bg.Scalar == nil {
+			gr.base, gr.slot = i, j
+			if err := gr.runOne(); err != nil {
+				return err
+			}
+			continue
+		}
 		s := &bb.samples[j]
 		s.Trace = s.Trace[:0]
 		reseedTraceRNG(bb.rngs[j], spec.Seed, i)
@@ -314,9 +325,9 @@ func (bg *BatchGen) fill(spec *Spec, c chunk, bb *batchBuf) error {
 
 // RunBatched executes the streaming CPA described by spec, synthesizing
 // traces through the lane-parallel replay path where it is available
-// and through bg.Scalar everywhere else — inside the verification
-// window, on divergence, for non-replayable programs. Results are
-// bit-identical to Run(cfg, spec, bg.Scalar) for every lane width,
+// and one Synthesizer.Run at a time everywhere else — inside the
+// verification window, on divergence, for non-replayable programs.
+// Results are bit-identical for every lane width (Lanes < 0 included),
 // worker count and chunk size.
 func RunBatched(cfg Config, spec Spec, bg BatchGen) ([]sca.Accumulator, error) {
 	if err := bg.validate(); err != nil {
@@ -395,16 +406,44 @@ func StreamBatched(cfg Config, n int, seed int64, bg BatchGen, emit Emit) error 
 // one lives in every chunk buffer, repointed per lane group, so the
 // steady-state fused path allocates nothing. It synthesizes the l
 // traces [base, base+l) into the chunk buffer starting at sample slot
-// `slot`.
+// `slot` — l = 1 for a trace outside a lane batch (runOne).
 type groupRunner struct {
 	bg         *BatchGen
 	spec       *Spec
 	bb         *batchBuf
 	base, slot int
+	// phaseErr is the last phase error runOne's callbacks returned, so
+	// runOne wraps only the Synthesizer's own errors with the trace.
+	phaseErr error
+}
+
+// runOne synthesizes trace base into slot on one Synthesizer.Run
+// execution, through the same phases as a lane group: InitLane as the
+// run's init, and the timeline's cycle powers as a one-lane block.
+func (g *groupRunner) runOne() error {
+	g.phaseErr = nil
+	err := g.bg.Synth.run(g.initOne, g.useOne)
+	if err != nil && err != g.phaseErr {
+		return fmt.Errorf("engine: trace %d: %w", g.base, err)
+	}
+	return err
+}
+
+func (g *groupRunner) initOne(core *pipeline.Core) error {
+	g.phaseErr = g.InitLane(0, core)
+	return g.phaseErr
+}
+
+func (g *groupRunner) useOne(tl pipeline.Timeline, core *pipeline.Core) error {
+	bb := g.bb
+	bb.cycles = g.bg.Model.CyclePowers(bb.cycles, tl)
+	bb.oneRow[0], bb.oneCore[0] = bb.cycles, core
+	g.phaseErr = g.Block(bb.oneRow[:], bb.oneCore[:])
+	return g.phaseErr
 }
 
 // InitLane reseeds the lane's private stream and runs Prepare — the
-// same leading draws the scalar path makes.
+// trace's leading draws.
 func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 	i, j := g.base+lane, g.slot+lane
 	s := &g.bb.samples[j]
@@ -420,8 +459,8 @@ func (g *groupRunner) InitLane(lane int, core *pipeline.Core) error {
 // traces — through the fused batch expansion when Averages is set,
 // otherwise per lane through Acquire — and records the results. Each
 // trace's stream continues exactly where Prepare left it (Prepare's
-// draws, then the noise draws, in lane order), so the chunk is
-// bit-identical to the scalar path.
+// draws, then the noise draws, in lane order), whatever the block's
+// width.
 func (g *groupRunner) Block(rows [][]float64, cores []*pipeline.Core) error {
 	bg, bb := g.bg, g.bb
 	if bg.Verify != nil {

@@ -56,16 +56,22 @@ func (f *batchFixture) hyps(v uint32, hyps []float64) {
 	hyps[1] = 1 - float64(v&1)
 }
 
-// gen builds the matched scalar generator and batch generator over a
-// fresh Synthesizer of the given mode. The batch generator uses the
-// per-lane Acquire form; genFused swaps in the fused block expansion.
-func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+// newSynth returns a fresh Synthesizer of the given mode over prog.
+func newSynth(t *testing.T, mode Mode, cfg pipeline.Config, prog *isa.Program) *Synthesizer {
 	t.Helper()
-	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
+	synth, err := NewSynthesizer(mode, cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar := func(i int, rng *rand.Rand, s *Sample) error {
+	return synth
+}
+
+// ref is the fixture's hand-written per-trace generator over a fresh
+// Synthesizer of the given mode: the independent reference, run through
+// Run, that the phases of gen must reproduce bit for bit.
+func (f *batchFixture) ref(t *testing.T, mode Mode) Generate {
+	synth := newSynth(t, mode, f.cfg, f.prog)
+	return func(i int, rng *rand.Rand, s *Sample) error {
 		v := rng.Uint32()
 		return synth.Run(
 			func(core *pipeline.Core) { f.initCore(core, v) },
@@ -75,6 +81,15 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 				return nil
 			})
 	}
+}
+
+// gen builds the fixture's phase-only batch generator (no Scalar: the
+// engine derives every non-batch trace from the phases) over a fresh
+// Synthesizer of the given mode. It uses the per-lane Acquire form;
+// genFused swaps in the fused block expansion.
+func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+	t.Helper()
+	synth := newSynth(t, mode, f.cfg, f.prog)
 	return BatchGen{
 		Synth: synth,
 		Model: &f.m,
@@ -89,7 +104,6 @@ func (f *batchFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synth
 			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 2)
 			return nil
 		},
-		Scalar: scalar,
 	}, synth
 }
 
@@ -105,46 +119,64 @@ func (f *batchFixture) genFused(t *testing.T, mode Mode, lanes int) (BatchGen, *
 }
 
 // TestRunBatchedBitIdenticalToScalar is the engine-level lane sweep:
-// for every lane width (including one disabling the batch path, the
-// single-lane degenerate batch, widths that do not divide the chunk
-// size, the widths beyond the old 32-lane mask word — 33, 48 — and the
-// 64-lane maximum), any worker count and chunk size, and on both the
-// per-lane Acquire form and the fused block expansion, the global
-// accumulators must be bit-identical.
+// a phase-only generator must reproduce the hand-written per-trace
+// reference bit for bit in every synthesis mode, for every lane width
+// (including Lanes -1, where the engine derives every trace from the
+// phases, the single-lane degenerate batch, widths that do not divide
+// the chunk size, the widths beyond the old 32-lane mask word — 33, 48
+// — and the 64-lane maximum), any worker count and chunk size, and on
+// both the per-lane Acquire form and the fused block expansion.
 func TestRunBatchedBitIdenticalToScalar(t *testing.T) {
 	f := newBatchFixture(333)
-	refGen, _ := f.gen(t, ModeAuto, -1)
-	ref, err := RunBatched(Config{Workers: 1}, f.spec, refGen)
+	ref, err := Run(Config{Workers: 1}, f.spec, f.ref(t, ModeSimulate))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ lanes, workers, chunk int }{
-		{0, 1, 0}, {1, 1, 0}, {8, 2, 0}, {16, 4, 32}, {32, 3, 48}, {24, 2, 50}, {5, 1, 7},
-		{33, 2, 50}, {48, 3, 0}, {64, 2, 96}, {64, 1, 70},
-	} {
-		for _, fused := range []bool{false, true} {
-			var bg BatchGen
-			var synth *Synthesizer
-			if fused {
-				bg, synth = f.genFused(t, ModeAuto, tc.lanes)
-			} else {
-				bg, synth = f.gen(t, ModeAuto, tc.lanes)
-			}
-			got, err := RunBatched(Config{Workers: tc.workers, ChunkSize: tc.chunk}, f.spec, bg)
-			if err != nil {
-				t.Fatalf("lanes=%d workers=%d fused=%v: %v", tc.lanes, tc.workers, fused, err)
-			}
-			if !got[0].(*sca.CPA).Equal(ref[0].(*sca.CPA)) {
-				t.Fatalf("lanes=%d workers=%d chunk=%d fused=%v: accumulator differs from scalar path",
-					tc.lanes, tc.workers, tc.chunk, fused)
-			}
-			if synth.BatchRuns() == 0 {
-				t.Fatalf("lanes=%d fused=%v: batch path never ran", tc.lanes, fused)
-			}
-			if reason := synth.BatchDisabledReason(); reason != "" {
-				t.Fatalf("lanes=%d fused=%v: batch disabled: %s", tc.lanes, fused, reason)
+	for _, mode := range []Mode{ModeAuto, ModeReplay, ModeSimulate} {
+		for _, tc := range []struct{ lanes, workers, chunk int }{
+			{-1, 1, 0}, {-1, 3, 50}, {0, 1, 0}, {1, 1, 0}, {8, 2, 0}, {16, 4, 32}, {32, 3, 48},
+			{24, 2, 50}, {5, 1, 7}, {33, 2, 50}, {48, 3, 0}, {64, 2, 96}, {64, 1, 70},
+		} {
+			for _, fused := range []bool{false, true} {
+				where := fmt.Sprintf("mode=%v lanes=%d workers=%d chunk=%d fused=%v",
+					mode, tc.lanes, tc.workers, tc.chunk, fused)
+				var bg BatchGen
+				var synth *Synthesizer
+				if fused {
+					bg, synth = f.genFused(t, mode, tc.lanes)
+				} else {
+					bg, synth = f.gen(t, mode, tc.lanes)
+				}
+				got, err := RunBatched(Config{Workers: tc.workers, ChunkSize: tc.chunk}, f.spec, bg)
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				if !got[0].(*sca.CPA).Equal(ref[0].(*sca.CPA)) {
+					t.Fatalf("%s: accumulator differs from the per-trace reference", where)
+				}
+				checkBatchRan(t, where, synth, mode, tc.lanes)
+				if reason := synth.BatchDisabledReason(); reason != "" {
+					t.Fatalf("%s: batch disabled: %s", where, reason)
+				}
+				if synth.FellBack() {
+					t.Fatalf("%s: replay fell back on an input-invariant schedule", where)
+				}
 			}
 		}
+	}
+}
+
+// checkBatchRan checks that the batch path ran exactly when it must.
+// Auto mode fixes the path choice (the verify-window barrier); forced
+// replay compiles on whichever chunk runs first, so with several
+// workers its first chunks may all miss the batch path.
+func checkBatchRan(t *testing.T, where string, synth *Synthesizer, mode Mode, lanes int) {
+	t.Helper()
+	switch ran := synth.BatchRuns() > 0; {
+	case ran && (mode == ModeSimulate || lanes < 0):
+		t.Fatalf("%s: batch path ran", where)
+	case !ran && mode == ModeAuto && lanes >= 0:
+		t.Fatalf("%s: batch path never ran", where)
 	}
 }
 
@@ -215,25 +247,23 @@ func newDivergeFixture(traces, bad int) *divergeFixture {
 	return f
 }
 
-func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
-	t.Helper()
-	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
-	if err != nil {
-		t.Fatal(err)
+func (f *divergeFixture) initCore(core *pipeline.Core, i int, v uint32) {
+	var r0 uint32
+	if i == f.bad {
+		r0 = 1 // condition fails: leaves the compiled schedule
 	}
-	initCore := func(core *pipeline.Core, i int, v uint32) {
-		var r0 uint32
-		if i == f.bad {
-			r0 = 1 // condition fails: leaves the compiled schedule
-		}
-		core.SetReg(isa.R0, r0)
-		core.SetReg(isa.R1, v)
-		core.SetReg(isa.R8, 0x100)
-	}
-	scalar := func(i int, rng *rand.Rand, s *Sample) error {
+	core.SetReg(isa.R0, r0)
+	core.SetReg(isa.R1, v)
+	core.SetReg(isa.R8, 0x100)
+}
+
+// ref is the hand-written per-trace reference of gen, run through Run.
+func (f *divergeFixture) ref(t *testing.T, mode Mode) Generate {
+	synth := newSynth(t, mode, f.cfg, f.prog)
+	return func(i int, rng *rand.Rand, s *Sample) error {
 		v := rng.Uint32()
 		return synth.Run(
-			func(core *pipeline.Core) { initCore(core, i, v) },
+			func(core *pipeline.Core) { f.initCore(core, i, v) },
 			func(tl pipeline.Timeline, core *pipeline.Core) error {
 				s.Trace, s.Scratch = f.m.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, 1)
 				s.Hyps[0][0] = float64(v & 1)
@@ -241,13 +271,19 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 				return nil
 			})
 	}
+}
+
+// gen is the phase-only batch generator over the diverging program.
+func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+	t.Helper()
+	synth := newSynth(t, mode, f.cfg, f.prog)
 	return BatchGen{
 		Synth: synth,
 		Model: &f.m,
 		Lanes: lanes,
 		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
 			v := rng.Uint32()
-			initCore(core, i, v)
+			f.initCore(core, i, v)
 			s.Hyps[0][0] = float64(v & 1)
 			s.Hyps[0][1] = 1 - float64(v&1)
 			return nil
@@ -256,34 +292,33 @@ func (f *divergeFixture) gen(t *testing.T, mode Mode, lanes int) (BatchGen, *Syn
 			s.Trace, s.Scratch = f.m.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, 1)
 			return nil
 		},
-		Scalar: scalar,
 	}, synth
 }
 
 // TestRunBatchedDivergenceFallsBackToSimulation forces a divergence
-// after the verification window: the diverging batch must be replayed
-// through the scalar path (which takes the canonical simulate
-// fallback), and the final accumulators must equal a pure-simulation
-// run bit for bit.
+// after the verification window: the diverging batch must be
+// resynthesized one trace at a time (which takes the canonical simulate
+// fallback), and the final accumulators must equal the per-trace
+// reference under pure simulation bit for bit — also at Lanes -1, where
+// the divergence surfaces in the scalar replay VM instead.
 func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 	const traces, bad = 160, 130 // bad lands in a post-window batch
 	sim := newDivergeFixture(traces, bad)
-	simGen, _ := sim.gen(t, ModeSimulate, -1)
-	want, err := RunBatched(Config{Workers: 1}, sim.spec, simGen)
+	want, err := Run(Config{Workers: 1}, sim.spec, sim.ref(t, ModeSimulate))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Lane widths on both sides of the old 32-lane mask word: divergence
 	// detection and fallback parity must be width-independent.
-	for _, lanes := range []int{8, 48, 64} {
+	for _, lanes := range []int{-1, 1, 8, 48, 64} {
 		f := newDivergeFixture(traces, bad)
 		bg, synth := f.gen(t, ModeAuto, lanes)
 		got, err := RunBatched(Config{Workers: 1}, f.spec, bg)
 		if err != nil {
 			t.Fatalf("lanes=%d: %v", lanes, err)
 		}
-		if synth.BatchRuns() == 0 {
-			t.Fatalf("lanes=%d: batch path never ran before the divergence", lanes)
+		if ran := synth.BatchRuns() > 0; ran != (lanes >= 0) {
+			t.Fatalf("lanes=%d: batch path ran = %v before the divergence", lanes, ran)
 		}
 		if !synth.FellBack() {
 			t.Fatalf("lanes=%d: auto mode did not fall back on the diverging trace", lanes)
@@ -292,56 +327,74 @@ func TestRunBatchedDivergenceFallsBackToSimulation(t *testing.T) {
 			t.Fatalf("lanes=%d: diverging run differs from pure simulation", lanes)
 		}
 	}
+	// Forced replay turns the divergence into a hard error on both paths.
+	for _, lanes := range []int{-1, 8} {
+		f := newDivergeFixture(traces, bad)
+		bg, _ := f.gen(t, ModeReplay, lanes)
+		if _, err := RunBatched(Config{Workers: 1}, f.spec, bg); err == nil {
+			t.Fatalf("lanes=%d: forced replay accepted a diverging trace", lanes)
+		}
+	}
 }
 
 // streamGen is gen reshaped for StreamBatched: no banks, the drawn
 // operand travels in s.Aux, Verify checks the final register against
 // it, and each trace is one unaveraged expansion into the recycled
-// trace storage.
-func (f *batchFixture) streamGen(t *testing.T, mode Mode, lanes int) (BatchGen, *Synthesizer) {
+// trace storage — per lane through Acquire, or, with fused set, through
+// the fused block expansion at Averages 1. streamRef is its hand-written
+// per-trace reference.
+func (f *batchFixture) streamGen(t *testing.T, mode Mode, lanes int, fused bool) (BatchGen, *Synthesizer) {
 	t.Helper()
-	synth, err := NewSynthesizer(mode, f.cfg, f.prog)
-	if err != nil {
-		t.Fatal(err)
+	synth := newSynth(t, mode, f.cfg, f.prog)
+	bg := BatchGen{
+		Synth: synth,
+		Model: &f.m,
+		Lanes: lanes,
+		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
+			f.initCore(core, streamDraw(rng, s))
+			return nil
+		},
+		Verify: streamVerify,
+		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
+			s.Trace = f.m.ExpandCyclesInto(s.Trace, cycles, rng)
+			return nil
+		},
 	}
-	draw := func(rng *rand.Rand, s *Sample) uint32 {
-		v := rng.Uint32()
-		s.Aux = binary.LittleEndian.AppendUint32(s.Aux[:0], v)
-		return v
+	if fused {
+		bg.Averages, bg.Acquire = 1, nil
 	}
-	verify := func(i int, core *pipeline.Core, s *Sample) error {
-		if got, want := core.Reg(isa.R0), binary.LittleEndian.Uint32(s.Aux)+0x5A5A5A5A; got != want {
-			return fmt.Errorf("trace %d: r0 = %#x, want %#x", i, got, want)
-		}
-		return nil
-	}
-	scalar := func(i int, rng *rand.Rand, s *Sample) error {
-		v := draw(rng, s)
+	return bg, synth
+}
+
+func (f *batchFixture) streamRef(t *testing.T, mode Mode) BatchGen {
+	synth := newSynth(t, mode, f.cfg, f.prog)
+	return BatchGen{Scalar: func(i int, rng *rand.Rand, s *Sample) error {
+		v := streamDraw(rng, s)
 		return synth.Run(
 			func(core *pipeline.Core) { f.initCore(core, v) },
 			func(tl pipeline.Timeline, core *pipeline.Core) error {
-				if err := verify(i, core, s); err != nil {
+				if err := streamVerify(i, core, s); err != nil {
 					return err
 				}
 				s.Trace = f.m.SynthesizeInto(s.Trace, tl, rng)
 				return nil
 			})
+	}}
+}
+
+// streamDraw draws a stream trace's operand into s.Aux.
+func streamDraw(rng *rand.Rand, s *Sample) uint32 {
+	v := rng.Uint32()
+	s.Aux = binary.LittleEndian.AppendUint32(s.Aux[:0], v)
+	return v
+}
+
+// streamVerify checks a stream trace's final register against its operand.
+func streamVerify(i int, core *pipeline.Core, s *Sample) error {
+	if got, want := core.Reg(isa.R0), binary.LittleEndian.Uint32(s.Aux)+0x5A5A5A5A; got != want {
+		return fmt.Errorf("trace %d: r0 = %#x, want %#x", i, got, want)
 	}
-	return BatchGen{
-		Synth: synth,
-		Model: &f.m,
-		Lanes: lanes,
-		Prepare: func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
-			f.initCore(core, draw(rng, s))
-			return nil
-		},
-		Verify: verify,
-		Acquire: func(i int, rng *rand.Rand, cycles []float64, s *Sample) error {
-			s.Trace = f.m.ExpandCyclesInto(s.Trace, cycles, rng)
-			return nil
-		},
-		Scalar: scalar,
-	}, synth
+	return nil
 }
 
 // stream runs StreamBatched and returns private copies of every
@@ -387,53 +440,78 @@ func sameStream(aT, bT []trace.Trace, aA, bA [][]byte) string {
 }
 
 // TestStreamBatchedBitIdenticalToScalar pins the trace-set producer:
-// every lane width, worker count and chunk size must emit the
-// byte-identical sequence the scalar path (Lanes -1) emits, traces in
-// order, partial final batches included — and the batch path must
-// really have run.
+// in every synthesis mode, for every lane width (Lanes -1 included),
+// worker count and chunk size and on both expansion forms, a
+// phase-only generator must emit the byte-identical sequence the
+// hand-written per-trace reference emits, traces in order, partial
+// final batches included — and the batch path must have run exactly
+// when it can.
 func TestStreamBatchedBitIdenticalToScalar(t *testing.T) {
 	f := newBatchFixture(0)
 	const n = 107
-	refGen, _ := f.streamGen(t, ModeAuto, -1)
-	refT, refA := stream(t, Config{Workers: 1}, n, 5, refGen)
-	for _, tc := range []struct{ lanes, workers, chunk int }{
-		{0, 2, 0}, {1, 1, 0}, {16, 2, 0}, {33, 3, 50}, {64, 2, 96}, {8, 4, 7},
-	} {
-		bg, synth := f.streamGen(t, ModeAuto, tc.lanes)
-		gotT, gotA := stream(t, Config{Workers: tc.workers, ChunkSize: tc.chunk}, n, 5, bg)
-		if d := sameStream(refT, gotT, refA, gotA); d != "" {
-			t.Fatalf("lanes=%d workers=%d chunk=%d: %s", tc.lanes, tc.workers, tc.chunk, d)
-		}
-		if synth.BatchRuns() == 0 {
-			t.Fatalf("lanes=%d workers=%d chunk=%d: batch path never ran", tc.lanes, tc.workers, tc.chunk)
+	refT, refA := stream(t, Config{Workers: 1}, n, 5, f.streamRef(t, ModeSimulate))
+	for _, mode := range []Mode{ModeAuto, ModeReplay, ModeSimulate} {
+		for _, tc := range []struct{ lanes, workers, chunk int }{
+			{-1, 2, 0}, {0, 2, 0}, {1, 1, 0}, {16, 2, 0}, {33, 3, 50}, {64, 2, 96}, {8, 4, 7},
+		} {
+			for _, fused := range []bool{false, true} {
+				where := fmt.Sprintf("mode=%v lanes=%d workers=%d chunk=%d fused=%v",
+					mode, tc.lanes, tc.workers, tc.chunk, fused)
+				bg, synth := f.streamGen(t, mode, tc.lanes, fused)
+				gotT, gotA := stream(t, Config{Workers: tc.workers, ChunkSize: tc.chunk}, n, 5, bg)
+				if d := sameStream(refT, gotT, refA, gotA); d != "" {
+					t.Fatalf("%s: %s", where, d)
+				}
+				checkBatchRan(t, where, synth, mode, tc.lanes)
+			}
 		}
 	}
 }
 
-// TestRunBatchedValidation rejects misconfigured batch generators.
+// TestRunBatchedValidation rejects misconfigured batch generators and
+// pins Prepare errors as genuine failures on every path.
 func TestRunBatchedValidation(t *testing.T) {
 	f := newBatchFixture(10)
 	if _, err := RunBatched(Config{}, f.spec, BatchGen{}); err == nil {
-		t.Error("missing scalar generator accepted")
+		t.Error("generator with neither a scalar generator nor phases accepted")
 	}
-	bg, _ := f.gen(t, ModeAuto, 65)
+	bg, _ := f.gen(t, ModeAuto, 0)
+	bg.Acquire = nil
+	if _, err := RunBatched(Config{}, f.spec, bg); err == nil {
+		t.Error("phase set without an expansion accepted")
+	}
+	bg, _ = f.gen(t, ModeAuto, 65)
 	if _, err := RunBatched(Config{}, f.spec, bg); err == nil {
 		t.Error("lane width beyond MaxLanes accepted")
 	}
-	// A Prepare error on a batched trace (99 lies in the first
-	// post-window chunk) is a genuine failure, not a fallback.
+	// A Prepare error is a genuine failure, not a fallback: the run must
+	// return it rather than simulate the trace — on a batched trace (99
+	// lies in the first post-window chunk), inside the verification
+	// window (5), and on the derived per-trace path of Lanes -1 and
+	// ModeSimulate.
 	var errBoom = errors.New("boom")
-	f2 := newBatchFixture(160)
-	bg2, _ := f2.gen(t, ModeAuto, 8)
-	prepare := bg2.Prepare
-	bg2.Prepare = func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
-		if i == 99 {
-			return errBoom
+	for _, tc := range []struct {
+		mode       Mode
+		lanes, bad int
+	}{
+		{ModeAuto, 8, 99}, {ModeAuto, 8, 5}, {ModeAuto, -1, 99}, {ModeSimulate, 8, 99}, {ModeReplay, 8, 0},
+	} {
+		f2 := newBatchFixture(160)
+		bg2, synth := f2.gen(t, tc.mode, tc.lanes)
+		prepare := bg2.Prepare
+		bg2.Prepare = func(i int, rng *rand.Rand, core *pipeline.Core, s *Sample) error {
+			if i == tc.bad {
+				return errBoom
+			}
+			return prepare(i, rng, core, s)
 		}
-		return prepare(i, rng, core, s)
-	}
-	if _, err := RunBatched(Config{Workers: 1}, f2.spec, bg2); !errors.Is(err, errBoom) {
-		t.Errorf("prepare error not propagated: %v", err)
+		_, err := RunBatched(Config{Workers: 1}, f2.spec, bg2)
+		if !errors.Is(err, errBoom) {
+			t.Errorf("mode=%v lanes=%d bad=%d: prepare error not propagated: %v", tc.mode, tc.lanes, tc.bad, err)
+		}
+		if synth.FellBack() {
+			t.Errorf("mode=%v lanes=%d bad=%d: a prepare error ended replay", tc.mode, tc.lanes, tc.bad)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
 )
@@ -413,8 +414,9 @@ func (bb *batchBuf) record(spec *Spec, j, traceIdx int) error {
 // AddBatch calls. srcs[j] is the raw stream under rngs[j] — the fused
 // batch expansion draws noise in bulk straight off it, continuing the
 // exact stream position the rand.Rand wrapper left. group and expand
-// are the persistent per-buffer state of the fused path, kept here so
-// steady-state chunks allocate nothing.
+// are the persistent per-buffer state of the fused path, and cycles,
+// oneRow and oneCore the one-lane block of a trace outside a lane
+// batch, kept here so steady-state chunks allocate nothing.
 type batchBuf struct {
 	samples []Sample
 	traces  [][]float64
@@ -424,6 +426,9 @@ type batchBuf struct {
 	srcs    []*splitMixSource
 	group   groupRunner
 	expand  power.BatchExpand
+	cycles  []float64
+	oneRow  [1][]float64
+	oneCore [1]*pipeline.Core
 }
 
 // oneTrace synthesizes trace i and feeds it to the accumulators — the

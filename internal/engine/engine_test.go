@@ -33,25 +33,6 @@ func noisyGen(banks []Bank, samples int) Generate {
 	}
 }
 
-// intGen yields integer-valued traces and hypotheses. Sums of small
-// integers are exact in float64, which makes chunk merging exactly
-// associative — the property TestMergeAssociativityExact pins down.
-func intGen(banks []Bank, samples int) Generate {
-	return func(i int, rng *rand.Rand, s *Sample) error {
-		tr := make([]float64, samples)
-		for j := range tr {
-			tr[j] = float64(rng.Intn(64))
-		}
-		for b, bank := range banks {
-			for k := 0; k < bank.Hyps; k++ {
-				s.Hyps[b][k] = float64(rng.Intn(32))
-			}
-		}
-		s.Trace = tr
-		return nil
-	}
-}
-
 // serialReference feeds the same per-trace data through plain sca.CPA
 // accumulators in index order — the materialize-free equivalent of the
 // pre-engine serial attack loops.
@@ -136,42 +117,6 @@ func TestStreamingMatchesBatchPearson(t *testing.T) {
 				t.Fatalf("hyp %d sample %d: streaming %v vs batch %v", k, sm, got, want)
 			}
 		}
-	}
-}
-
-func TestMergeAssociativityExact(t *testing.T) {
-	spec := Spec{Traces: 40, Samples: 8, Banks: HypothesisBanks(12), Seed: 3}
-	gen := intGen(spec.Banks, spec.Samples)
-	// Four chunk partials over disjoint trace ranges.
-	parts := make([]*sca.CPA, 4)
-	s := &Sample{Hyps: [][]float64{make([]float64, 12)}}
-	for c := range parts {
-		banks, err := newBanks(spec.Banks, spec.Samples)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := c * 10; i < (c+1)*10; i++ {
-			if err := oneTrace(i, spec, gen, s, banks); err != nil {
-				t.Fatal(err)
-			}
-		}
-		parts[c] = banks[0].(*sca.CPA)
-	}
-	merge := func(a, b *sca.CPA) *sca.CPA {
-		c := a.Clone()
-		if err := c.Merge(b); err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	left := merge(merge(merge(parts[0], parts[1]), parts[2]), parts[3])
-	right := merge(parts[0], merge(parts[1], merge(parts[2], parts[3])))
-	balanced := merge(merge(parts[0], parts[1]), merge(parts[2], parts[3]))
-	if !left.Equal(right) || !left.Equal(balanced) {
-		t.Fatal("chunk merge is not associative on integer-exact data")
-	}
-	if left.Count() != spec.Traces {
-		t.Fatalf("merged count %d, want %d", left.Count(), spec.Traces)
 	}
 }
 

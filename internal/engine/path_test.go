@@ -51,7 +51,7 @@ func TestPathChoiceIndependentOfScheduling(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			refStreamGen, refStreamSynth := f.streamGen(t, ModeAuto, lanes)
+			refStreamGen, refStreamSynth := f.streamGen(t, ModeAuto, lanes, false)
 			refT, refA := stream(t, Config{Workers: 1, ChunkSize: chunk}, traces, f.spec.Seed, refStreamGen)
 			for _, got := range []int64{refSynth.BatchRuns(), refStreamSynth.BatchRuns()} {
 				if got != want {
@@ -76,7 +76,7 @@ func TestPathChoiceIndependentOfScheduling(t *testing.T) {
 						t.Fatalf("%s: RunBatched ran %d lane batches, want %d", where, synth.BatchRuns(), want)
 					}
 
-					sg, ssynth := f.streamGen(t, ModeAuto, lanes)
+					sg, ssynth := f.streamGen(t, ModeAuto, lanes, false)
 					gotT, gotA := stream(t, cfg, traces, f.spec.Seed, sg)
 					if d := sameStream(refT, gotT, refA, gotA); d != "" {
 						t.Fatalf("%s: StreamBatched: %s", where, d)
@@ -98,8 +98,7 @@ func TestPathChoiceIndependentOfScheduling(t *testing.T) {
 func TestVerifyWindowMismatchNeverBatches(t *testing.T) {
 	const traces, bad = 160, 5
 	sim := newDivergeFixture(traces, bad)
-	simGen, _ := sim.gen(t, ModeSimulate, -1)
-	want, err := RunBatched(Config{Workers: 1}, sim.spec, simGen)
+	want, err := Run(Config{Workers: 1}, sim.spec, sim.ref(t, ModeSimulate))
 	if err != nil {
 		t.Fatal(err)
 	}

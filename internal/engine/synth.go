@@ -173,13 +173,21 @@ func (s *Synthesizer) fallBack(reason string) {
 // architectural state; both are only valid for the duration of the
 // call. Run is safe to call concurrently with itself.
 func (s *Synthesizer) Run(init func(*pipeline.Core), use func(pipeline.Timeline, *pipeline.Core) error) error {
+	return s.run(func(core *pipeline.Core) error { init(core); return nil }, use)
+}
+
+// run is Run with a fallible init: an init error is returned before the
+// program executes, so a failed setup neither compiles nor verifies.
+func (s *Synthesizer) run(init func(*pipeline.Core) error, use func(pipeline.Timeline, *pipeline.Core) error) error {
 	sc := s.scratch.Get().(*synthScratch)
 	defer s.scratch.Put(sc)
 	core := sc.core
 	core.ResetState()
 	core.SetHierarchy(nil)
 	core.Mem().Wipe()
-	init(core)
+	if err := init(core); err != nil {
+		return err
+	}
 
 	if s.mode == ModeSimulate || s.fellBack.Load() {
 		return s.simulate(core, use)

@@ -98,14 +98,6 @@ func RunTVLA(b *Benchmark, opt Options) (*TVLAResult, error) {
 				s.Trace, s.Scratch = opt.Model.AveragedCyclesInto(s.Trace, s.Scratch, cycles, rng, opt.Averages)
 				return nil
 			},
-			Scalar: func(i int, rng *rand.Rand, s *engine.Sample) error {
-				return synth.Run(
-					func(core *pipeline.Core) { setup(i, rng, core) },
-					func(tl pipeline.Timeline, _ *pipeline.Core) error {
-						s.Trace, s.Scratch = opt.Model.SynthesizeAveragedInto(s.Trace, s.Scratch, tl, rng, opt.Averages)
-						return nil
-					})
-			},
 		},
 		emit)
 	if err != nil {
