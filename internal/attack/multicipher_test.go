@@ -1,8 +1,10 @@
 package attack
 
 import (
+	"math"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/target"
 )
 
@@ -109,6 +111,56 @@ func TestRunCPADeterministicAcrossScheduling(t *testing.T) {
 	for i := range a.CorrTrace {
 		if a.CorrTrace[i] != b.CorrTrace[i] {
 			t.Fatalf("correlation trace differs at sample %d", i)
+		}
+	}
+}
+
+// TestRunCPADerivedPathMatchesBatch pins the one trace definition of
+// the cross-target attack: with every trace synthesized one at a time
+// from the phases (Lanes -1, or pure simulation) each cipher's result
+// is bit-identical to the lane-batched default.
+func TestRunCPADerivedPathMatchesBatch(t *testing.T) {
+	for _, name := range target.Names() {
+		tgt, err := target.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := tgt.Info()
+		opt := multiOpts(150)
+		opt.Rounds = info.DefaultRounds
+		opt.Workers = 2
+		want, err := RunCPA(name, info.DefaultKey, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !want.Batched {
+			t.Fatalf("%s: the default run never took the batch path", name)
+		}
+		for _, c := range []struct {
+			lanes int
+			synth engine.Mode
+		}{{-1, engine.ModeAuto}, {-1, engine.ModeReplay}, {8, engine.ModeSimulate}} {
+			o := opt
+			o.Lanes, o.Synth = c.lanes, c.synth
+			got, err := RunCPA(name, info.DefaultKey, o)
+			if err != nil {
+				t.Fatalf("%s lanes=%d mode=%v: %v", name, c.lanes, c.synth, err)
+			}
+			if got.Batched {
+				t.Fatalf("%s lanes=%d mode=%v: batch path ran", name, c.lanes, c.synth)
+			}
+			if got.Rank != want.Rank || got.Recovered != want.Recovered ||
+				math.Float64bits(got.Confidence) != math.Float64bits(want.Confidence) {
+				t.Fatalf("%s lanes=%d mode=%v: recovered %#02x rank %d confidence %v, want %#02x rank %d confidence %v",
+					name, c.lanes, c.synth, got.Recovered, got.Rank, got.Confidence,
+					want.Recovered, want.Rank, want.Confidence)
+			}
+			for i := range want.CorrTrace {
+				if math.Float64bits(got.CorrTrace[i]) != math.Float64bits(want.CorrTrace[i]) {
+					t.Fatalf("%s lanes=%d mode=%v: correlation trace differs at sample %d",
+						name, c.lanes, c.synth, i)
+				}
+			}
 		}
 	}
 }

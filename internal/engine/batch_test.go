@@ -211,6 +211,57 @@ func TestRunBatchedSimulateNeverBatches(t *testing.T) {
 	}
 }
 
+// TestRunBatchedScalarWinsWhenSet pins the precedence of a set Scalar:
+// every trace outside a lane batch comes from it, not from the phases.
+// The Scalar here deliberately differs from the phases (its traces are
+// offset by one), so a run synthesizing no lane batch (Lanes -1, or
+// pure simulation) must equal the Scalar alone run through Run, and a
+// phase-only run must not.
+func TestRunBatchedScalarWinsWhenSet(t *testing.T) {
+	f := newBatchFixture(120)
+	offset := func(gen Generate) Generate {
+		return func(i int, rng *rand.Rand, s *Sample) error {
+			if err := gen(i, rng, s); err != nil {
+				return err
+			}
+			for k := range s.Trace {
+				s.Trace[k]++
+			}
+			return nil
+		}
+	}
+	want, err := Run(Config{Workers: 1}, f.spec, offset(f.ref(t, ModeSimulate)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		mode  Mode
+		lanes int
+	}{{ModeAuto, -1}, {ModeReplay, -1}, {ModeSimulate, 8}} {
+		where := fmt.Sprintf("mode=%v lanes=%d", tc.mode, tc.lanes)
+		bg, synth := f.gen(t, tc.mode, tc.lanes)
+		phases, err := RunBatched(Config{Workers: 2}, f.spec, bg)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if phases[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+			t.Fatalf("%s: the offset Scalar is indistinguishable from the phases", where)
+		}
+		bg, synth = f.gen(t, tc.mode, tc.lanes)
+		bg.Scalar = offset(f.ref(t, ModeSimulate))
+		got, err := RunBatched(Config{Workers: 2}, f.spec, bg)
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if !got[0].(*sca.CPA).Equal(want[0].(*sca.CPA)) {
+			t.Fatalf("%s: accumulator differs from the Scalar run alone", where)
+		}
+		if synth.BatchRuns() != 0 {
+			t.Fatalf("%s: batch path ran", where)
+		}
+	}
+}
+
 // divergeFixture builds a program with a pinned conditional whose
 // outcome flips on one designated trace, so the batch path hits a
 // mid-run divergence after the verification window passed.

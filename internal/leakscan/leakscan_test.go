@@ -1,9 +1,11 @@
 package leakscan
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/pipeline"
 )
 
@@ -69,6 +71,55 @@ func TestTable2FullAgreement(t *testing.T) {
 	match, total := Agreement(results)
 	if match != total {
 		t.Fatalf("Table 2 agreement %d/%d", match, total)
+	}
+}
+
+// The first-order scan of every Table 2 row is bit-identical whether
+// its traces come from lane batches or one at a time from the same
+// phases (Lanes -1, pure simulation), for any worker count.
+func TestOrder1ScanInvariance(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Traces = 300
+	for _, b := range Benchmarks() {
+		b := b
+		ref := opt
+		ref.Workers, ref.Lanes, ref.Synth = 1, -1, engine.ModeSimulate
+		want, err := RunBenchmark(&b, ref)
+		if err != nil {
+			t.Fatalf("row %d: %v", b.Row, err)
+		}
+		cases := []struct {
+			name    string
+			workers int
+			lanes   int
+			synth   engine.Mode
+		}{
+			{"defaults", 0, 0, engine.ModeAuto},
+			{"scalar auto", 3, -1, engine.ModeAuto},
+			{"narrow lanes", 3, 2, engine.ModeAuto},
+			{"replay", 4, 8, engine.ModeReplay},
+		}
+		for _, c := range cases {
+			o := opt
+			o.Workers, o.Lanes, o.Synth = c.workers, c.lanes, c.synth
+			got, err := RunBenchmark(&b, o)
+			if err != nil {
+				t.Fatalf("row %d %s: %v", b.Row, c.name, err)
+			}
+			if got.Dual != want.Dual || len(got.Exprs) != len(want.Exprs) {
+				t.Fatalf("row %d %s: dual=%v with %d expressions, want dual=%v with %d",
+					b.Row, c.name, got.Dual, len(got.Exprs), want.Dual, len(want.Exprs))
+			}
+			for i := range got.Exprs {
+				g, w := got.Exprs[i], want.Exprs[i]
+				if math.Float64bits(g.Peak) != math.Float64bits(w.Peak) || g.PeakSample != w.PeakSample ||
+					math.Float64bits(g.Confidence) != math.Float64bits(w.Confidence) || g.Detected != w.Detected {
+					t.Errorf("row %d %s: expr %q peak %v@%d conf %v, want %v@%d conf %v",
+						b.Row, c.name, g.Name, g.Peak, g.PeakSample, g.Confidence,
+						w.Peak, w.PeakSample, w.Confidence)
+				}
+			}
+		}
 	}
 }
 
