@@ -25,6 +25,7 @@ import (
 	"repro/internal/power"
 	"repro/internal/replay"
 	"repro/internal/sca"
+	"repro/internal/target"
 	"repro/internal/znorm"
 )
 
@@ -112,7 +113,7 @@ func BenchmarkFigure3AESCPA(b *testing.B) {
 		opt.Traces = 800
 		opt.Rounds = 1
 		var err error
-		res, err = attack.RunFigure3(benchKey, opt)
+		res, err = attack.RunCPA(target.Default, benchKey[:], opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -390,61 +391,6 @@ func BenchmarkPowerSynthesis(b *testing.B) {
 	}
 }
 
-// benchEngineCPA10k runs the engine's full 10k-trace streaming CPA —
-// the DESIGN.md §6 scaling experiment — against the one-round AES
-// target with the given pool size, synthesis mode and replay batch
-// width (0: default lanes, negative: scalar per-trace replay).
-func benchEngineCPA10k(b *testing.B, workers int, mode engine.Mode, lanes int) {
-	opt := attack.DefaultFig3Options()
-	opt.Traces = 10000
-	opt.Rounds = 1
-	opt.Averages = 1
-	opt.Workers = workers
-	opt.Synth = mode
-	opt.Lanes = lanes
-	var res *attack.Fig3Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = attack.RunFigure3(benchKey, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(opt.Traces)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
-	b.ReportMetric(b2f(res.Success()), "key_recovered")
-	b.ReportMetric(b2f(res.Replayed), "replayed")
-	b.ReportMetric(b2f(res.Batched), "batched")
-}
-
-// BenchmarkEngineCPA10kSerial is the one-worker full-simulation
-// baseline of the 10k-trace streaming CPA — the shape of the attack
-// before compiled replay existed. Divide its time by the parallel
-// benchmarks' for the scaling factors.
-func BenchmarkEngineCPA10kSerial(b *testing.B) { benchEngineCPA10k(b, 1, engine.ModeSimulate, -1) }
-
-// BenchmarkEngineCPA10kSimulate runs the attack with one worker per
-// core under full simulation — the modern simulate path, against which
-// the replay benchmarks isolate their speedups at equal worker count.
-func BenchmarkEngineCPA10kSimulate(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeSimulate, -1) }
-
-// BenchmarkEngineCPA10kReplayScalar runs the attack with one worker per
-// core and scalar (one-trace-at-a-time) compiled replay — the pre-batch
-// replay path, against which BenchmarkEngineCPA10kParallel isolates the
-// lane-parallel speedup.
-func BenchmarkEngineCPA10kReplayScalar(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, -1) }
-
-// BenchmarkEngineCPA10kParallel runs the attack with one worker per
-// core and the lane-parallel batched replay path (the auto default).
-// The result is bit-identical to every other variant — only faster.
-func BenchmarkEngineCPA10kParallel(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, 0) }
-
-// BenchmarkEngineCPA10kLanes32 / 64 are the explicit-width legs of the
-// lane sweep behind the DefaultLanes choice (the default leg above
-// covers DefaultLanes itself).
-func BenchmarkEngineCPA10kLanes32(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, 32) }
-func BenchmarkEngineCPA10kLanes64(b *testing.B) { benchEngineCPA10k(b, 0, engine.ModeAuto, 64) }
-
 // BenchmarkReplayVM measures the compiled-replay VM alone on the
 // one-round AES schedule — the per-trace synthesis floor, to compare
 // against BenchmarkPipelineSimulation's per-execution cost. One warmup
@@ -564,23 +510,6 @@ func BenchmarkFusedExpand(b *testing.B) {
 		m.ExpandCyclesBatch(be)
 	}
 	b.ReportMetric(float64(lanes)*float64(b.N)/b.Elapsed().Seconds(), "traces/s")
-}
-
-// BenchmarkEngineFullKey measures the sixteen-bank streaming recovery of
-// the complete first-round key from one shared trace stream.
-func BenchmarkEngineFullKey(b *testing.B) {
-	opt := attack.DefaultFig3Options()
-	opt.Traces = 700
-	opt.Rounds = 1
-	var res *attack.FullKeyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = attack.RecoverFullKey(benchKey, opt)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(res.BytesRecovered()), "bytes_recovered")
 }
 
 // BenchmarkCPAUpdate measures the incremental CPA engine with 256

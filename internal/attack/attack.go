@@ -16,7 +16,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/power"
 	"repro/internal/sca"
-	"repro/internal/target"
 )
 
 // ClockMHz is the target clock of the paper's setup: the Allwinner A20
@@ -133,15 +132,6 @@ type Fig3Result struct {
 
 // Success reports whether the attack recovered the true key byte.
 func (r *Fig3Result) Success() bool { return r.Recovered == r.TrueKey }
-
-// RunFigure3 performs the §5 bare-metal attack: CPA with the
-// non-microarchitecture-aware model HW(SubBytes output byte). It is
-// the AES special case of RunCPA — trace synthesis fans out across
-// opt.Workers cores; the streaming-CPA accumulators keep memory
-// bounded regardless of opt.Traces.
-func RunFigure3(key [aes.KeySize]byte, opt Fig3Options) (*Fig3Result, error) {
-	return RunCPA(target.Default, key[:], opt)
-}
 
 func abs(x float64) float64 {
 	if x < 0 {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/osnoise"
 	"repro/internal/sca"
+	"repro/internal/target"
 )
 
 var testKey = [16]byte{0x2B, 0x7E, 0x15, 0x16, 0x28, 0xAE, 0xD2, 0xA6, 0xAB, 0xF7, 0x15, 0x88, 0x09, 0xCF, 0x4F, 0x3C}
@@ -15,7 +16,7 @@ func TestFigure3RecoversKeyByte(t *testing.T) {
 	// above the 99.5% Fisher threshold, which 800 traces only straddle.
 	opt.Traces = 1500
 	opt.Rounds = 1
-	res, err := RunFigure3(testKey, opt)
+	res, err := RunCPA(target.Default, testKey[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestFigure3OtherKeyByte(t *testing.T) {
 	opt.Traces = 400
 	opt.Rounds = 1
 	opt.KeyByte = 7
-	res, err := RunFigure3(testKey, opt)
+	res, err := RunCPA(target.Default, testKey[:], opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,12 +91,12 @@ func TestFigure3OtherKeyByte(t *testing.T) {
 func TestFigure3Validation(t *testing.T) {
 	opt := DefaultFig3Options()
 	opt.Traces = 2
-	if _, err := RunFigure3(testKey, opt); err == nil {
+	if _, err := RunCPA(target.Default, testKey[:], opt); err == nil {
 		t.Error("too few traces must be rejected")
 	}
 	opt = DefaultFig3Options()
 	opt.KeyByte = 16
-	if _, err := RunFigure3(testKey, opt); err == nil {
+	if _, err := RunCPA(target.Default, testKey[:], opt); err == nil {
 		t.Error("bad key byte must be rejected")
 	}
 }
@@ -121,7 +122,7 @@ func TestFigure4CorrelationReducedVsFig3(t *testing.T) {
 	f3opt := DefaultFig3Options()
 	f3opt.Traces = 400
 	f3opt.Rounds = 1
-	f3, err := RunFigure3(testKey, f3opt)
+	f3, err := RunCPA(target.Default, testKey[:], f3opt)
 	if err != nil {
 		t.Fatal(err)
 	}

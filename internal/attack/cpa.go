@@ -112,16 +112,6 @@ func (s *cpaSetup) rank(b int, acc sca.Accumulator) *sca.Attack {
 	return cc.ResultIn(lo, hi, w.Signed)
 }
 
-// classBanks returns one conditional-sum bank per attacked byte in
-// bytes, each with the target's class table for that position.
-func (s *cpaSetup) classBanks(bytes []int) []engine.Bank {
-	banks := make([]engine.Bank, len(bytes))
-	for i, b := range bytes {
-		banks[i] = engine.Bank{Hyps: 256, Classes: s.inst.ClassTable(b)}
-	}
-	return banks
-}
-
 // batchGen builds the generic acquisition generator: each trace draws
 // its plaintext from its private stream into s.Aux, runs the target,
 // verifies against the reference oracle, and reports the model-input
@@ -156,10 +146,23 @@ func (s *cpaSetup) batchGen(opt Fig3Options, bytes []int) engine.BatchGen {
 	}
 }
 
+// acquire synthesizes spec.Traces acquisitions into one conditional-sum
+// bank per attacked byte in bytes, each with the target's class table
+// for that position. It fills in spec's trace length, banks and seed;
+// the caller sets the trace count and any checkpoints.
+func (s *cpaSetup) acquire(opt Fig3Options, bytes []int, spec engine.Spec) ([]sca.Accumulator, error) {
+	spec.Samples, spec.Seed = s.nSamples, opt.Seed
+	spec.Banks = make([]engine.Bank, len(bytes))
+	for i, b := range bytes {
+		spec.Banks[i] = engine.Bank{Hyps: 256, Classes: s.inst.ClassTable(b)}
+	}
+	return engine.RunBatched(engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate}, spec, s.batchGen(opt, bytes))
+}
+
 // RunCPA performs the §5 bare-metal attack against any registered
 // target: streaming CPA with the target's table-driven class model over
-// synthesized traces, fanned out across opt.Workers cores.
-// RunFigure3 is the AES special case.
+// synthesized traces, fanned out across opt.Workers cores. The paper's
+// Figure 3 attack is RunCPA on target.Default, the byte-oriented AES-128.
 func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
@@ -175,15 +178,16 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed},
-		s.batchGen(opt, []int{opt.KeyByte}))
+	banks, err := s.acquire(opt, []int{opt.KeyByte}, engine.Spec{Traces: opt.Traces})
 	if err != nil {
 		return nil, err
 	}
-	cpa := banks[0]
+	return s.fig3Result(opt, banks[0]), nil
+}
 
+// fig3Result ranks the attacked byte's bank and annotates each
+// calibrated region with the true key's correlation peak inside it.
+func (s *cpaSetup) fig3Result(opt Fig3Options, cpa sca.Accumulator) *Fig3Result {
 	att := s.rank(opt.KeyByte, cpa)
 	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
 	out := &Fig3Result{
@@ -213,12 +217,11 @@ func RunCPA(name string, key []byte, opt Fig3Options) (*Fig3Result, error) {
 		reg.PeakSampleUs = float64(bestS) * s.usPerSmp
 	}
 	out.Regions = regions
-	return out, nil
+	return out
 }
 
 // KeyRecovery is the outcome of attacking every effective-key byte of a
-// registered target from a single shared trace set — the target-generic
-// form of FullKeyResult.
+// registered target from a single shared trace set.
 type KeyRecovery struct {
 	// Target is the attacked cipher's registry name.
 	Target string
@@ -255,8 +258,8 @@ func (r *KeyRecovery) GuessingEntropy() float64 {
 // RecoverKey runs one CPA instance per attacked byte of the named
 // target — each with the target's class model — over one shared stream
 // of acquisitions. Every synthesized trace feeds all banks, so the
-// trace set is never materialized. RecoverFullKey is the AES special
-// case.
+// trace set is never materialized. On target.Default this recovers the
+// complete first-round AES key, the practical endgame of §5.
 func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) {
 	if opt.Traces < 8 {
 		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", opt.Traces)
@@ -269,10 +272,7 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 	for b := range bytes {
 		bytes[b] = b
 	}
-	banks, err := engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		engine.Spec{Traces: opt.Traces, Samples: s.nSamples, Banks: s.classBanks(bytes), Seed: opt.Seed},
-		s.batchGen(opt, bytes))
+	banks, err := s.acquire(opt, bytes, engine.Spec{Traces: opt.Traces})
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +296,8 @@ func RecoverKey(name string, key []byte, opt Fig3Options) (*KeyRecovery, error) 
 // RankEvolutionFor attacks one key byte of the named target at
 // increasing trace counts and returns the rank curve. The counts become
 // checkpoints of a single streaming run, so the trace stream is
-// synthesized exactly once. RankEvolution is the AES special case.
+// synthesized exactly once. Like every attack it needs at least 8
+// traces, so each count must be >= 8.
 func RankEvolutionFor(name string, key []byte, opt Fig3Options, counts []int) (*sca.RankCurve, error) {
 	if len(counts) == 0 {
 		return nil, fmt.Errorf("attack: no trace counts")
@@ -304,6 +305,9 @@ func RankEvolutionFor(name string, key []byte, opt Fig3Options, counts []int) (*
 	sorted := append([]int(nil), counts...)
 	slices.Sort(sorted)
 	sorted = slices.Compact(sorted)
+	if sorted[0] < 8 {
+		return nil, fmt.Errorf("attack: need at least 8 traces, got %d", sorted[0])
+	}
 	maxN := sorted[len(sorted)-1]
 	s, err := newCPASetup(name, key, opt)
 	if err != nil {
@@ -314,18 +318,14 @@ func RankEvolutionFor(name string, key []byte, opt Fig3Options, counts []int) (*
 	}
 	trueKey := s.inst.TrueKeyByte(opt.KeyByte)
 	curve := &sca.RankCurve{}
-	_, err = engine.RunBatched(
-		engine.Config{Workers: opt.Workers, Ctx: opt.Ctx, Gate: opt.Gate},
-		engine.Spec{
-			Traces: maxN, Samples: s.nSamples, Banks: s.classBanks([]int{opt.KeyByte}), Seed: opt.Seed,
-			Checkpoints: sorted,
-			OnCheckpoint: func(n int, banks []sca.Accumulator) {
-				att := s.rank(opt.KeyByte, banks[0])
-				curve.TraceCounts = append(curve.TraceCounts, n)
-				curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
-			},
+	_, err = s.acquire(opt, []int{opt.KeyByte}, engine.Spec{
+		Traces: maxN, Checkpoints: sorted,
+		OnCheckpoint: func(n int, banks []sca.Accumulator) {
+			att := s.rank(opt.KeyByte, banks[0])
+			curve.TraceCounts = append(curve.TraceCounts, n)
+			curve.Ranks = append(curve.Ranks, att.RankOf(int(trueKey)))
 		},
-		s.batchGen(opt, []int{opt.KeyByte}))
+	})
 	if err != nil {
 		return nil, err
 	}

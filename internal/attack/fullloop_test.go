@@ -124,7 +124,7 @@ func TestFullLoopStoreCPAMatchesInMemory(t *testing.T) {
 		}
 
 		// In-memory reference: the same traces added one by one.
-		ref := sca.MustNewClassCPA(s.Samples(), Fig3ClassTable())
+		ref := sca.MustNewClassCPA(s.Samples(), aes.SubBytesClassTable())
 		for i, tr := range traces {
 			if err := ref.Add(int(aux[i][0]), tr); err != nil {
 				t.Fatal(err)

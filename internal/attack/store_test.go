@@ -60,7 +60,7 @@ func TestRunStoreCPAMatchesInMemory(t *testing.T) {
 
 	// In-memory reference: the same streaming accumulator fed one trace
 	// at a time in trace order.
-	ref := sca.MustNewClassCPA(40, Fig3ClassTable())
+	ref := sca.MustNewClassCPA(40, aes.SubBytesClassTable())
 	for i, tr := range traces {
 		if err := ref.Add(int(aux[i][keyByte]), tr); err != nil {
 			t.Fatal(err)
@@ -112,7 +112,7 @@ func TestRunStoreCPAQuarantineHonesty(t *testing.T) {
 	dir := buildStore(t, traces, aux, 40) // 3 chunks
 
 	// Reference over the survivors only: chunk 1 (traces 40..79) gone.
-	ref := sca.MustNewClassCPA(24, Fig3ClassTable())
+	ref := sca.MustNewClassCPA(24, aes.SubBytesClassTable())
 	for i, tr := range traces {
 		if i >= 40 && i < 80 {
 			continue

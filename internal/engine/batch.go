@@ -15,11 +15,12 @@ import (
 // DefaultLanes is the default batch width of the lane-parallel replay
 // path: the full DefaultChunkSize, so a steady-state chunk is exactly
 // one lane group and the per-step schedule walk, scatter setup and
-// fused expansion amortize over the widest supported batch. The
-// end-to-end lane sweep (BenchmarkEngineCPA10kParallel/Lanes32/Lanes64)
-// ranks 64 ahead of 16 and 32 since the per-lane execution was reduced
-// to hoisted-decode value work. Like ChunkSize it is pure scheduling —
-// results are bit-identical for every lane width.
+// fused expansion amortize over the widest supported batch. An
+// end-to-end sweep of the 10k-trace Figure 3 attack over lane widths
+// ranked 64 ahead of 16 and 32 once the per-lane execution was reduced
+// to hoisted-decode value work; perfbench's fig3-10k workload measures
+// the default. Like ChunkSize it is pure scheduling — results are
+// bit-identical for every lane width.
 const DefaultLanes = replay.MaxLanes
 
 // errBatchFallback reports that a lane batch could not run (the replay

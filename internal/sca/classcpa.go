@@ -624,12 +624,3 @@ func (c *ClassCPA) Clone() *ClassCPA {
 	}
 	return o
 }
-
-// Reset clears the accumulated state, keeping the table.
-func (c *ClassCPA) Reset() {
-	clear(c.classN)
-	clear(c.classSum)
-	clear(c.sumT)
-	clear(c.sumTT)
-	c.count = 0
-}

@@ -89,9 +89,6 @@ func MustNewClassCPA2(rawSamples int, table [][]float64, means []float64, lo, hi
 	return c
 }
 
-// RawSamples returns the raw trace length the engine accepts.
-func (c *ClassCPA2) RawSamples() int { return c.rawSamples }
-
 // Window returns the combining window [lo, hi) over raw samples.
 func (c *ClassCPA2) Window() (lo, hi int) { return c.lo, c.hi }
 
@@ -173,10 +170,6 @@ func (c *ClassCPA2) AddBatch(classes []int, traces [][]float64) error {
 	}
 	return nil
 }
-
-// Reset clears the accumulator for reuse; the centering vector and
-// window are retained.
-func (c *ClassCPA2) Reset() { c.inner.Reset() }
 
 // Clone returns an independent deep copy of the accumulator state.
 func (c *ClassCPA2) Clone() *ClassCPA2 {

@@ -88,10 +88,6 @@ func (w *Writer) Samples() int { return w.man.Samples }
 // AuxLen returns the fixed auxiliary record length.
 func (w *Writer) AuxLen() int { return w.man.AuxLen }
 
-// Appended returns the number of traces appended so far (committed or
-// pending).
-func (w *Writer) Appended() int { return w.man.Traces + w.pending }
-
 // Append adds one trace with its auxiliary record. The trace is resized
 // to the store's sample count (mirroring trace.Set.Add); the aux record
 // must match the declared fixed length exactly — padding or truncating
